@@ -367,9 +367,13 @@ int main(int argc, char** argv) {
       const double base_arrivals =
           json_number_after(basej, "", "arrivals", 0.0);
       if (static_cast<std::uint64_t>(base_arrivals) != arrivals) {
-        std::printf(
-            "baseline used %.0f arrivals (this run: %llu); skipping gate\n",
-            base_arrivals, static_cast<unsigned long long>(arrivals));
+        // A gate that cannot compare must fail, not pass silently.
+        std::fprintf(stderr,
+                     "error: baseline %s used %.0f arrivals (this run: %llu); "
+                     "regenerate it with the same arrival count\n",
+                     baseline_path.c_str(), base_arrivals,
+                     static_cast<unsigned long long>(arrivals));
+        rc = 1;
       } else {
         const double base_recovery =
             json_number_after(basej, "", "recovery", 0.0);

@@ -18,8 +18,8 @@
 //     on the validate_cache_model trace family; max absolute error.
 //
 // The kPre* constants are this machine's numbers at commit 9be06f0, before
-// the flat-heap/dense-bookkeeping overhaul; kExpected* are the post-overhaul
-// numbers the regression gate (10%) compares against. The parallel-speedup
+// the flat-heap/dense-bookkeeping overhaul; kExpected* are the numbers the
+// regression gate (10%) compares against. The parallel-speedup
 // gate only engages when the host has enough cores to make the target
 // physically meaningful.
 #include <algorithm>
@@ -54,12 +54,16 @@ constexpr double kPreGatedSeconds = 0.0043;
 constexpr double kPreChurnSeconds = 0.0345;
 constexpr double kPreMatrixSeconds = 0.129;
 
-// Post-overhaul expectations the 10% regression gate compares against —
-// recorded from the slowest of several post-overhaul runs on this machine
-// (the container is shared; best-case runs come in ~20% under these).
-constexpr double kExpectedHeavySeconds = 0.028;
+// Expectations the 10% regression gate compares against, in anchor-machine
+// seconds (seconds / machine_factor) — the slowest of several runs on this
+// machine (the container is shared; best-case runs come in ~35% under
+// these). Heavy and matrix were re-recorded (slowest of 13 runs) after the
+// bandwidth-cap bisection became Newton-guided; churn runs one thread, whose
+// traffic never reaches the cap, so its expectation stays the
+// post-overhaul one.
+constexpr double kExpectedHeavySeconds = 0.019;
 constexpr double kExpectedChurnSeconds = 0.030;
-constexpr double kExpectedMatrixSeconds = 0.105;
+constexpr double kExpectedMatrixSeconds = 0.074;
 
 sim::PhaseProgram make_program(int phases, double flops_per_phase) {
   sim::ProgramBuilder b;

@@ -206,7 +206,9 @@ echo "== tier-1: service load snapshot (BENCH_service.json) =="
 # committed snapshot — if goodput drops >10%, p99 admission latency grows
 # >10%, or (on >=8-core hosts) the batched submission pump loses its 2x
 # edge over per-call admission / the sharded drain loses its 2x scaling
-# at 4 drain workers, after machine-drift calibration.
+# at 4 drain workers, after machine-drift calibration. A snapshot recorded
+# with a different arrival count is an error too (both here and for the
+# adversary snapshot above): the gate must compare, never skip.
 ( cd build/bench && ./service_load --out BENCH_service.json \
     --baseline ../../BENCH_service.json )
 # The wall-clock pump points are host-dependent: below 8 cores service_load

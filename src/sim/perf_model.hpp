@@ -7,6 +7,7 @@
 // the paper observes in Fig. 13.
 #pragma once
 
+#include <limits>
 #include <vector>
 
 #include "common/types.hpp"
@@ -45,6 +46,14 @@ std::vector<PhaseRate> compute_rates_capped(
 /// loop: per-thread miss terms are derived once per call (not once per
 /// bisection probe) and both the term scratch and `out` keep their capacity
 /// across calls. Bit-identical to the vector-returning function.
+///
+/// The bisection is guided: Newton's method first estimates the root r of
+/// aggregate(q) = bandwidth, then the bracket-and-bisect loop runs with each
+/// "aggregate(mid) > bandwidth" decided by the side of r that mid lies on,
+/// computing the aggregate only for probes inside a guard band around r
+/// (at least 1e-7 r wide: the last few halvings), far wider than the region
+/// where floating-point rounding could flip the comparison. q is therefore
+/// bit-identical to a bisection that computes every probe (DESIGN.md §4).
 class RateSolver {
  public:
   void solve(const Calibration& calib,
@@ -57,7 +66,23 @@ class RateSolver {
     double miss_seconds = 0.0;  ///< mpf * miss_stall (stall share at q=1)
   };
 
+  /// Aggregate traffic at q and its slope, -d(aggregate)/dq.
+  struct Probe {
+    double aggregate = 0.0;
+    double slope = 0.0;
+  };
+  /// Probes q in [lo, hi] are computed; below lo the aggregate exceeds the
+  /// bandwidth, above hi it does not. The default band computes every probe.
+  struct Band {
+    double lo = 0.0;
+    double hi = std::numeric_limits<double>::infinity();
+  };
+
   double aggregate_traffic(const Calibration& calib, double q) const;
+  Probe probe(const Calibration& calib, double q) const;
+  /// Guard band around the Newton estimate of the root; the aggregate at
+  /// q = 1 must be above the bandwidth.
+  Band root_band(const Calibration& calib, double bandwidth) const;
 
   std::vector<Term> terms_;
 };
