@@ -8,8 +8,9 @@
 // single per-call cost cannot produce both 19% and 59% (they differ 160x per
 // call), so we report two calibrated series that bracket the paper:
 //   slow-path — every call enters the kernel extension (~9 us),
-//   fast-path — identical repeated demands reuse the cached admission
-//               decision (~55 ns) when the load table is unchanged.
+//   fast-path — calls the core's calm lock-free lane serves (nobody
+//               parked, the budget fits) cost ~55 ns; the rest still
+//               enter the kernel.
 // Both series agree with the paper's conclusion: track at the outermost
 // loop.
 //

@@ -5,8 +5,8 @@
 //   micro_gate [--iters N] [--threads T] [--out BENCH_gate.json]
 //
 // Reports, and emits as JSON for trend tracking:
-//   * uncontended begin/end round-trip latency (slow path and cached
-//     fast path, Fig. 11),
+//   * uncontended begin/end round-trip latency (the calm lock-free lane,
+//     the native counterpart of Fig. 11's fast-path series),
 //   * try_begin latency when the request is always denied (predicate +
 //     withdrawal, never blocks),
 //   * T-thread contended round-trip throughput (within capacity, so the
@@ -44,11 +44,10 @@ using rda::util::MB;
 /// directly (CPU time was 185 ns; wall 189 ns).
 constexpr double kPreRefactorUncontendedNs = 189.0;
 
-rt::GateConfig config(core::PolicyKind policy, bool fast_path = false) {
+rt::GateConfig config(core::PolicyKind policy) {
   rt::GateConfig cfg;
   cfg.llc_capacity_bytes = static_cast<double>(MB(15));
   cfg.policy = policy;
-  cfg.fast_path = fast_path;
   return cfg;
 }
 
@@ -56,9 +55,9 @@ rt::GateConfig config(core::PolicyKind policy, bool fast_path = false) {
 /// minimum over many small chunks: the round trip is ~200 ns, so one
 /// migration or frequency dip poisons a single long average, while the
 /// best chunk reflects the sustained hot-path cost.
-double bench_uncontended(std::uint64_t iters, bool fast_path) {
-  rt::AdmissionGate gate(config(core::PolicyKind::kStrict, fast_path));
-  // Warm up (and prime the decision cache when fast_path is on).
+double bench_uncontended(std::uint64_t iters) {
+  rt::AdmissionGate gate(config(core::PolicyKind::kStrict));
+  // Warm up.
   for (int i = 0; i < 1000; ++i) {
     gate.end(gate.begin(ResourceKind::kLLC, static_cast<double>(MB(1)),
                         ReuseLevel::kHigh));
@@ -208,9 +207,7 @@ int main(int argc, char** argv) {
   const double machine_factor = std::max(1.0, calib_ns / kCalibBaselineNs);
 
   const double uncontended_ns =
-      best5([&] { return bench_uncontended(iters, false); });
-  const double fast_path_ns =
-      best5([&] { return bench_uncontended(iters, true); });
+      best5([&] { return bench_uncontended(iters); });
   const double try_denied_ns = best5([&] { return bench_try_denied(iters); });
   const double multi_uncontended_ns =
       best5([&] { return bench_multi_uncontended(iters); });
@@ -241,7 +238,6 @@ int main(int argc, char** argv) {
       "uncontended begin/end: %.1f ns (baseline %.0f ns, %.2fx raw, "
       "%.2fx machine-adjusted)\n",
       uncontended_ns, kPreRefactorUncontendedNs, vs_baseline, vs_baseline_adj);
-  std::printf("fast-path begin/end:   %.1f ns\n", fast_path_ns);
   std::printf("try_begin denied:      %.1f ns\n", try_denied_ns);
   std::printf("3-demand begin/end:    %.1f ns (%.2fx the scalar path)\n",
               multi_uncontended_ns, multi_uncontended_ns / uncontended_ns);
@@ -277,7 +273,6 @@ int main(int argc, char** argv) {
                 "  \"calib_ns\": %.2f,\n"
                 "  \"machine_factor\": %.4f,\n"
                 "  \"uncontended_ns\": %.2f,\n"
-                "  \"fast_path_ns\": %.2f,\n"
                 "  \"try_denied_ns\": %.2f,\n"
                 "  \"multi_uncontended_ns\": %.2f,\n"
                 "  \"contended_ns_per_op\": %.2f,\n"
@@ -289,7 +284,7 @@ int main(int argc, char** argv) {
                 "  \"uncontended_vs_baseline_adj\": %.4f\n"
                 "}\n",
                 static_cast<unsigned long long>(iters), threads, calib_ns,
-                machine_factor, uncontended_ns, fast_path_ns, try_denied_ns,
+                machine_factor, uncontended_ns, try_denied_ns,
                 multi_uncontended_ns, contended_ns, contended_mops,
                 multi_contended_mops, mops16, kPreRefactorUncontendedNs,
                 vs_baseline, vs_baseline_adj);

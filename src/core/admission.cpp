@@ -70,27 +70,16 @@ void AdmissionCore::trace(obs::EventKind kind, double now,
   config_.trace_sink->record(e);
 }
 
-bool AdmissionCore::fast_path_usable(
-    const ShardSlot& slot, sim::ThreadId thread, sim::ProcessId process,
-    const std::vector<ResourceDemand>& demands) const {
-  (void)process;
-  if (!config_.fast_path) return false;
-  const auto it = slot.cache.find(thread);
-  if (it == slot.cache.end() || !it->second.valid) return false;
-  const std::vector<ResourceDemand>& cached = it->second.demands;
-  if (cached.size() != demands.size()) return false;
-  for (std::size_t i = 0; i < demands.size(); ++i) {
-    if (cached[i].resource != demands[i].resource) return false;
-    if (cached[i].amount != demands[i].amount) return false;
+bool AdmissionCore::partition_on_entry(ResourceDemand& primary,
+                                       AdmitTicket& ticket) const {
+  if (config_.feedback.enable || primary.resource != ResourceKind::kLLC ||
+      !config_.partitioning.enable ||
+      primary.amount <= resources_.capacity(ResourceKind::kLLC)) {
+    return false;
   }
-  // Nobody else touched the load table since this thread's own last call,
-  // the previous identical request was admitted, and nobody is queued ahead
-  // — so replaying the predicate gives the identical "admit". The pool
-  // check is the lock-free count (any disabled pool spoils the cache): the
-  // per-process set lives behind the slow mutex this probe may not hold.
-  if (it->second.version != resources_.version()) return false;
-  if (monitor_.waitlist().size() != 0) return false;
-  if (monitor_.disabled_pool_count() != 0) return false;
+  ticket.occupancy_cap = config_.partitioning.streaming_fraction *
+                         resources_.capacity(ResourceKind::kLLC);
+  primary.amount = ticket.occupancy_cap;
   return true;
 }
 
@@ -99,20 +88,8 @@ AdmitTicket AdmissionCore::admit(AdmitRequest request, double now) {
                 "pp_begin with no declared demand from thread "
                     << request.thread);
   AdmitTicket ticket;
-  ResourceDemand& primary = request.demands.front();
-  const double declared = primary.amount;
-  bool partitioned = false;
-  // §6 partitioning transform. With counter feedback enabled the corrected
-  // demand must be capped instead, so the whole transform moves into the
-  // slow lane (feedback forces every call there anyway).
-  if (!config_.feedback.enable && primary.resource == ResourceKind::kLLC &&
-      config_.partitioning.enable &&
-      primary.amount > resources_.capacity(ResourceKind::kLLC)) {
-    ticket.occupancy_cap = config_.partitioning.streaming_fraction *
-                           resources_.capacity(ResourceKind::kLLC);
-    primary.amount = ticket.occupancy_cap;
-    partitioned = true;
-  }
+  const double declared = request.demands.front().amount;
+  const bool partitioned = partition_on_entry(request.demands.front(), ticket);
   if (calm() && fast_admit(request, now, partitioned, declared, ticket)) {
     return ticket;
   }
@@ -125,13 +102,6 @@ bool AdmissionCore::fast_admit(AdmitRequest& request, double now,
                                AdmitTicket& ticket) {
   const std::uint32_t shard = shard_of_thread(request.thread);
   ShardSlot& slot = slots_[shard];
-
-  bool fast_hit = false;
-  if (config_.fast_path) {
-    std::lock_guard<std::mutex> cache_lock(slot.cache_mu);
-    fast_hit = fast_path_usable(slot, request.thread, request.process,
-                                request.demands);
-  }
 
   // Claim the budget demand by demand; any shortfall rolls back every
   // partial claim and routes the decision to the slow lane (which can
@@ -175,28 +145,15 @@ bool AdmissionCore::fast_admit(AdmitRequest& request, double now,
   slot.begins.fetch_add(1);
   slot.immediate.fetch_add(1);
   if (partitioned) partitioned_periods_.fetch_add(1);
-  if (fast_hit) fast_path_hits_.fetch_add(1);
   if (config_.trace_sink != nullptr) {
     const PeriodRecord* stored = monitor_.registry().find(id);
     RDA_CHECK(stored != nullptr);  // our own record; only we can end it
     trace(obs::EventKind::kBegin, now, *stored);
     trace(obs::EventKind::kAdmit, now, *stored);
   }
-  if (config_.fast_path) {
-    // The demands moved into the registry record; copy them back out for
-    // the decision cache (record pointers are node-stable, and only the
-    // owning thread can remove its own calm record).
-    const PeriodRecord* stored = monitor_.registry().find(id);
-    RDA_CHECK(stored != nullptr);
-    std::lock_guard<std::mutex> cache_lock(slot.cache_mu);
-    ThreadCache& cache = slot.cache[request.thread];
-    cache.valid = true;
-    cache.demands = stored->demands;
-    cache.version = resources_.version();
-  }
   ticket.id = id;
   ticket.admitted = true;
-  ticket.fast_path = fast_hit;
+  ticket.fast_path = true;
   return true;
 }
 
@@ -262,49 +219,21 @@ AdmitTicket AdmissionCore::slow_admit_locked(AdmitRequest request, double now,
     }
   }
 
-  const std::uint32_t shard = shard_of_thread(request.thread);
-  ShardSlot& slot = slots_[shard];
-  bool fast = false;
-  if (config_.fast_path) {
-    std::lock_guard<std::mutex> cache_lock(slot.cache_mu);
-    fast = fast_path_usable(slot, request.thread, request.process,
-                            request.demands);
-  }
-
   PeriodRecord record;
   record.thread = request.thread;
   record.process = request.process;
-  if (config_.fast_path) {
-    record.demands = request.demands;  // copy: the cache keeps the original
-  } else {
-    record.demands = std::move(request.demands);
-  }
+  record.demands = std::move(request.demands);
   record.reuse = request.reuse;
   record.label = std::move(request.label);
   record.declared_demand = declared;
   record.declared_bandwidth = declared_bandwidth;
   const ProgressMonitor::BeginOutcome outcome =
       monitor_.begin_period(std::move(record), now);
-
-  // Serialized, a valid probe is a proof the replay admits; under
-  // concurrency a fast-lane claim can invalidate it between the probe and
-  // the predicate — degrade to a miss rather than assert.
-  if (fast && !outcome.admitted) fast = false;
   if (partitioned) partitioned_periods_.fetch_add(1);
-  if (fast) fast_path_hits_.fetch_add(1);
-
-  if (config_.fast_path) {
-    std::lock_guard<std::mutex> cache_lock(slot.cache_mu);
-    ThreadCache& cache = slot.cache[request.thread];
-    cache.valid = outcome.admitted && !outcome.forced;
-    cache.demands = std::move(request.demands);
-    cache.version = resources_.version();
-  }
 
   ticket.id = outcome.id;
   ticket.admitted = outcome.admitted;
   ticket.forced = outcome.forced;
-  ticket.fast_path = fast;
   ticket.woke_from_waitlist = outcome.woke_from_waitlist;
   return ticket;
 }
@@ -324,17 +253,9 @@ std::vector<AdmitTicket> AdmissionCore::admit_batch(
                   "pp_begin with no declared demand from thread "
                       << request.thread);
     AdmitTicket& ticket = tickets[i];
-    ResourceDemand& primary = request.demands.front();
-    const double declared = primary.amount;
-    bool partitioned = false;
-    if (!config_.feedback.enable && primary.resource == ResourceKind::kLLC &&
-        config_.partitioning.enable &&
-        primary.amount > resources_.capacity(ResourceKind::kLLC)) {
-      ticket.occupancy_cap = config_.partitioning.streaming_fraction *
-                             resources_.capacity(ResourceKind::kLLC);
-      primary.amount = ticket.occupancy_cap;
-      partitioned = true;
-    }
+    const double declared = request.demands.front().amount;
+    const bool partitioned =
+        partition_on_entry(request.demands.front(), ticket);
     if (calm() && fast_admit(request, now, partitioned, declared, ticket)) {
       continue;
     }
@@ -400,30 +321,12 @@ bool AdmissionCore::fast_release(PeriodId id, double now,
   std::optional<PeriodRecord> record =
       monitor_.mutable_registry().take_if_calm(id);
   if (!record.has_value()) return false;
-  ticket.fast_path = config_.fast_path;
-  ShardSlot& slot = slots_[shard_of_thread(record->thread)];
+  ticket.fast_path = true;
   trace(obs::EventKind::kEnd, now, *record);
-  if (config_.fast_path) {
-    std::lock_guard<std::mutex> cache_lock(slot.cache_mu);
-    ThreadCache& cache = slot.cache[record->thread];
-    // Replay validity: the cached decision survives this end only if
-    // nobody else touched the load table since our begin (then our
-    // increment+decrement cancel out). Read BEFORE the decrement.
-    const bool undisturbed = resources_.version() == cache.version;
-    for (const ResourceDemand& d : record->demands) {
-      resources_.decrement_load(d.resource, d.amount, record->stripe);
-    }
-    if (undisturbed && cache.valid) {
-      cache.version = resources_.version();
-    } else {
-      cache.valid = false;
-    }
-  } else {
-    for (const ResourceDemand& d : record->demands) {
-      resources_.decrement_load(d.resource, d.amount, record->stripe);
-    }
+  for (const ResourceDemand& d : record->demands) {
+    resources_.decrement_load(d.resource, d.amount, record->stripe);
   }
-  slot.ends.fetch_add(1);
+  slots_[shard_of_thread(record->thread)].ends.fetch_add(1);
   ticket.record = std::move(*record);
   return true;
 }
@@ -538,33 +441,8 @@ ReleaseTicket AdmissionCore::slow_release(PeriodId id,
       }
     }
   }
-  if (!config_.fast_path) {
-    // end_period itself rejects unknown ids; no pre-lookup needed.
-    ticket.record = monitor_.end_period(id, now);
-  } else {
-    const PeriodRecord* active = monitor_.registry().find(id);
-    RDA_CHECK_MSG(active != nullptr, "pp_end with unknown period id " << id);
-    const sim::ThreadId thread = active->thread;
-    // The end is fast-pathable when no waiter can be affected: with an
-    // empty waitlist the decrement wakes nobody, so the kernel entry is
-    // skippable.
-    const bool fast = monitor_.waitlist().empty();
-    ticket.fast_path = fast;
-    ShardSlot& slot = slots_[shard_of_thread(thread)];
-    std::lock_guard<std::mutex> cache_lock(slot.cache_mu);
-    ThreadCache& cache = slot.cache[thread];
-    // Replay validity: the cached admit decision survives this end only if
-    // nobody else touched the load table between our begin and now (then
-    // our increment+decrement cancel and the table returns to the
-    // decision's state).
-    const bool undisturbed = resources_.version() == cache.version;
-    ticket.record = monitor_.end_period(id, now);
-    if (fast && undisturbed && cache.valid) {
-      cache.version = resources_.version();
-    } else {
-      cache.valid = false;
-    }
-  }
+  // end_period itself rejects unknown ids; no pre-lookup needed.
+  ticket.record = monitor_.end_period(id, now);
   }
   monitor_.deliver(std::move(pending));
   return ticket;
@@ -578,11 +456,6 @@ ProgressMonitor::ReapOutcome AdmissionCore::reap(sim::ThreadId thread,
   {
     std::lock_guard<std::mutex> lock(slow_mu_);
     ProgressMonitor::WakeBatch batch(monitor_, &pending);
-    {
-      ShardSlot& slot = slots_[shard_of_thread(thread)];
-      std::lock_guard<std::mutex> cache_lock(slot.cache_mu);
-      slot.cache.erase(thread);
-    }
     outcome = monitor_.reap_thread(thread, now, remember_waiter);
   }
   monitor_.deliver(std::move(pending));
@@ -597,12 +470,6 @@ std::size_t AdmissionCore::sweep(std::uint64_t max_epoch_age, double now,
     std::lock_guard<std::mutex> lock(slow_mu_);
     ProgressMonitor::WakeBatch batch(monitor_, &pending);
     reaped = monitor_.sweep(max_epoch_age, now, remember_waiters);
-    if (reaped > 0) {
-      for (ShardSlot& slot : slots_) {
-        std::lock_guard<std::mutex> cache_lock(slot.cache_mu);
-        slot.cache.clear();
-      }
-    }
   }
   monitor_.deliver(std::move(pending));
   return reaped;

@@ -3,11 +3,11 @@
 // Every substrate that gates progress periods (the discrete-event simulator
 // via core::RdaScheduler, real threads via rt::AdmissionGate, and the
 // cluster layer's per-node gates) used to re-implement the same pipeline:
-// demand correction, §6 streaming partitioning, the Fig. 11 cached-decision
-// fast path, registry + predicate + waitlist bookkeeping. AdmissionCore owns
-// that pipeline once; the substrates shrink to adapters that translate their
-// wake mechanism (sim event injection, condvar notify) into the core's
-// Waker callback and their notion of time into `now` seconds.
+// demand correction, §6 streaming partitioning, registry + predicate +
+// waitlist bookkeeping. AdmissionCore owns that pipeline once; the
+// substrates shrink to adapters that translate their wake mechanism (sim
+// event injection, condvar notify) into the core's batch waker and their
+// notion of time into `now` seconds.
 //
 // Threading contract (sharded edition): the core is INTERNALLY synchronized
 // and splits every operation across two lanes.
@@ -33,10 +33,9 @@
 //
 // Wakes are BATCHED: the slow lane accumulates woken threads per operation
 // and delivers them once, AFTER releasing the slow mutex (set_batch_waker
-// receives the whole batch; a plain set_waker waker is called per thread,
-// in wake order, at the same point). Delivering outside the lock lets a
-// wake callback re-enter the core — the sim engine's death-at-wake fault
-// path reaps the dying thread from inside the wake. The woken period is
+// receives the whole batch, in wake order). Delivering outside the lock
+// lets a wake callback re-enter the core — the sim engine's death-at-wake
+// fault path reaps the dying thread from inside the wake. The woken period is
 // already marked admitted before its wake is delivered, so a waiter that
 // probes its fate (is_admitted / take_rejection / …, all under the slow
 // mutex) instead of sleeping observes a consistent verdict.
@@ -49,7 +48,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/feedback.hpp"
@@ -107,8 +105,6 @@ struct AdmissionConfig {
   /// but all-must-fit forces every call through the slow lane (the
   /// lock-free budget CAS can only express per-resource hard fits).
   CombinerOptions combiner{};
-  /// Enable the cached-decision fast path (Fig. 11 second series).
-  bool fast_path = false;
   PartitionOptions partitioning{};
   /// Counter-feedback extension: correct declared demands from observed
   /// per-period hardware counters. Forces every call through the slow lane
@@ -144,13 +140,13 @@ struct AdmitRequest {
 };
 
 /// Outcome of admit(). `admitted == false` means the period is parked on
-/// the waitlist; the caller must either sleep until the Waker fires for its
-/// thread (the grant) or withdraw() the request.
+/// the waitlist; the caller must either sleep until the batch waker grants
+/// its thread or withdraw() the request.
 struct AdmitTicket {
   PeriodId id = kInvalidPeriod;
   bool admitted = false;
   bool forced = false;     ///< admitted via the liveness override
-  bool fast_path = false;  ///< decision served from the thread cache
+  bool fast_path = false;  ///< served by the calm lock-free lane
   /// Admitted on the post-park second look of the lost-wake handshake: the
   /// period visited the waitlist (blocks was counted) but the caller must
   /// NOT sleep — no grant will ever arrive for it.
@@ -178,7 +174,7 @@ struct ReleaseObservation {
 
 /// Outcome of release().
 struct ReleaseTicket {
-  bool fast_path = false;  ///< release needed no full "kernel entry"
+  bool fast_path = false;  ///< served by the calm lock-free lane
   PeriodRecord record;     ///< the closed period
 };
 
@@ -192,20 +188,15 @@ enum class WithdrawResult {
 
 class AdmissionCore {
  public:
-  /// The kernel wake event, abstracted: called once per period admitted off
-  /// the waitlist, with the thread that parked it. Invoked after the slow
-  /// mutex is released — re-entering the core from the callback is safe.
-  using Waker = std::function<void(sim::ThreadId)>;
-
   explicit AdmissionCore(AdmissionConfig config = {});
 
   AdmissionCore(const AdmissionCore&) = delete;
   AdmissionCore& operator=(const AdmissionCore&) = delete;
 
-  void set_waker(Waker waker) { monitor_.set_waker(std::move(waker)); }
-  /// Batched wake delivery: one call per slow-lane operation with every
-  /// thread it admitted off the waitlist, in wake order. Takes precedence
-  /// over set_waker.
+  /// The kernel wake event, abstracted: one call per slow-lane operation
+  /// with every period it admitted off the waitlist, in wake order. Invoked
+  /// after the slow mutex is released — re-entering the core from the
+  /// callback is safe.
   void set_batch_waker(ProgressMonitor::BatchWakeFn waker) {
     monitor_.set_batch_waker(std::move(waker));
   }
@@ -229,10 +220,9 @@ class AdmissionCore {
   }
 
   /// pp_begin. Applies feedback correction and §6 partitioning to the
-  /// primary LLC demand, consults the fast-path cache, then admits through
-  /// the calm lock-free lane or the full predicate pipeline. Throws
-  /// util::CheckFailure on a nested begin from the same thread (before any
-  /// stats or trace mutation).
+  /// primary LLC demand, then admits through the calm lock-free lane or the
+  /// full predicate pipeline. Throws util::CheckFailure on a nested begin
+  /// from the same thread (before any stats or trace mutation).
   AdmitTicket admit(AdmitRequest request, double now);
 
   /// Batched pp_begin for the service front end's drain loop. Semantically
@@ -258,8 +248,9 @@ class AdmissionCore {
   WithdrawResult try_withdraw(PeriodId id, double now);
 
   /// pp_end. Feeds observed counters to the demand corrector, releases the
-  /// period's load and rescans the waitlist (invoking the Waker for every
-  /// admission). Throws on an unknown id or a never-admitted period.
+  /// period's load and rescans the waitlist (granting every admission
+  /// through the batch waker). Throws on an unknown id or a never-admitted
+  /// period.
   ReleaseTicket release(PeriodId id, const ReleaseObservation& observed,
                         double now);
 
@@ -303,7 +294,7 @@ class AdmissionCore {
 
   /// Post-wait state probes for the substrates: a granted period shows as
   /// admitted; a watchdog-rejected or reaped-while-waiting one never gets a
-  /// Waker grant and must be discovered (and consumed) through these. All
+  /// wake grant and must be discovered (and consumed) through these. All
   /// take the slow mutex: an operation's wakes are flushed before its
   /// effects become observable here.
   bool is_admitted(PeriodId id) const;
@@ -333,7 +324,6 @@ class AdmissionCore {
   /// Slow-lane monitor stats plus the fast lane's per-shard begin/end
   /// counters, merged. By value: assembled at call time.
   MonitorStats stats() const;
-  std::uint64_t fast_path_hits() const { return fast_path_hits_.load(); }
   std::uint64_t partitioned_periods() const {
     return partitioned_periods_.load();
   }
@@ -348,19 +338,9 @@ class AdmissionCore {
   const DemandCorrector& corrector() const { return corrector_; }
 
  private:
-  struct ThreadCache {
-    bool valid = false;
-    /// Post-transformation demands of the last admitted request.
-    std::vector<ResourceDemand> demands;
-    std::uint64_t version = 0;  ///< load-table version at our last call
-  };
-
-  /// Per-shard fast-lane state: the Fig. 11 decision cache for the threads
-  /// hashing here plus this shard's share of the begin/end counters.
-  /// Cacheline-aligned so shards do not false-share.
+  /// Per-shard fast-lane state: this shard's share of the begin/end
+  /// counters. Cacheline-aligned so shards do not false-share.
   struct alignas(64) ShardSlot {
-    std::mutex cache_mu;
-    std::unordered_map<sim::ThreadId, ThreadCache> cache;
     std::atomic<std::uint64_t> begins{0};
     std::atomic<std::uint64_t> ends{0};
     std::atomic<std::uint64_t> immediate{0};
@@ -376,9 +356,12 @@ class AdmissionCore {
            monitor_.disabled_pool_count() == 0;
   }
 
-  bool fast_path_usable(const ShardSlot& slot, sim::ThreadId thread,
-                        sim::ProcessId process,
-                        const std::vector<ResourceDemand>& demands) const;
+  /// §6 partitioning transform on the entry path: caps a larger-than-LLC
+  /// primary demand at the streaming fraction and records the cap in
+  /// `ticket`. Returns whether it applied. Skipped with counter feedback:
+  /// that forces the slow lane, where slow_admit_locked caps the corrected
+  /// demand instead.
+  bool partition_on_entry(ResourceDemand& primary, AdmitTicket& ticket) const;
   /// Lock-free admit attempt. False = budget contention or nested-begin
   /// impossible here; caller falls through to the slow lane.
   bool fast_admit(AdmitRequest& request, double now, bool partitioned,
@@ -412,11 +395,10 @@ class AdmissionCore {
   DemandCorrector corrector_;
 
   /// Serializes the slow lane (ProgressMonitor and everything reachable
-  /// from it). Lock order: slow_mu_ → registry shard / cache_mu.
+  /// from it). Lock order: slow_mu_ → registry shard.
   mutable std::mutex slow_mu_;
 
   std::array<ShardSlot, kNumShards> slots_;
-  std::atomic<std::uint64_t> fast_path_hits_{0};
   std::atomic<std::uint64_t> partitioned_periods_{0};
 };
 

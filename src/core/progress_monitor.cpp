@@ -60,13 +60,7 @@ void ProgressMonitor::wake_entry(const Waitlist::Entry& entry, double now,
 }
 
 void ProgressMonitor::deliver(PendingDelivery batch) {
-  if (!batch.wakes.empty()) {
-    if (batch_waker_) {
-      batch_waker_(batch.wakes);
-    } else if (waker_) {
-      for (const WakeGrant& g : batch.wakes) waker_(g.thread);
-    }
-  }
+  if (!batch.wakes.empty() && batch_waker_) batch_waker_(batch.wakes);
   if (!batch.evicts.empty() && evict_notifier_) evict_notifier_(batch.evicts);
 }
 
@@ -78,13 +72,7 @@ void ProgressMonitor::flush_batch() {
     wakes.swap(pending_wakes_);
     std::vector<EvictNotice> evicts;
     evicts.swap(pending_evicts_);
-    if (!wakes.empty()) {
-      if (batch_waker_) {
-        batch_waker_(wakes);
-      } else if (waker_) {
-        for (const WakeGrant& g : wakes) waker_(g.thread);
-      }
-    }
+    if (!wakes.empty() && batch_waker_) batch_waker_(wakes);
     if (!evicts.empty() && evict_notifier_) evict_notifier_(evicts);
   }
 }
@@ -442,7 +430,7 @@ bool ProgressMonitor::escalate(std::size_t index, double now) {
     }
   }
 
-  // Rung 3: evict with an error. No Waker grant — the substrate surfaces
+  // Rung 3: evict with an error. No wake grant — the substrate surfaces
   // the rejection to the sleeping owner via take_rejection* and the
   // batched eviction notice.
   e.rung = 3;

@@ -122,8 +122,6 @@ struct MonitorStats {
 
 class ProgressMonitor {
  public:
-  using WakeFn = std::function<void(sim::ThreadId)>;
-
   /// One admission grant bound for a sleeping owner. Carrying the PERIOD id
   /// (not just the thread) lets an asynchronous substrate discard a grant
   /// that was delivered late — after its period was already recovered,
@@ -136,7 +134,8 @@ class ProgressMonitor {
 
   /// One call per flush with every grant issued by the operation, in wake
   /// order — lets the native gate hand out all grants under one lock and
-  /// issue a single notify for the whole batch.
+  /// issue a single notify for the whole batch, and the simulator resume
+  /// each woken thread in turn.
   using BatchWakeFn = std::function<void(const std::vector<WakeGrant>&)>;
 
   /// A waiter evicted without a wake grant (watchdog rung 3, or reaped off
@@ -153,12 +152,10 @@ class ProgressMonitor {
   ProgressMonitor(SchedulingPredicate& predicate, ResourceMonitor& resources,
                   MonitorOptions options = {});
 
-  /// Channel used to resume a previously paused thread once its period is
-  /// admitted (the kernel wake event of the paper's implementation). Wakes
-  /// are delivered at the end of the outermost monitor operation, in the
-  /// order the admissions happened.
-  void set_waker(WakeFn waker) { waker_ = std::move(waker); }
-  /// Batched alternative; takes precedence over set_waker when both are set.
+  /// Channel used to resume previously paused threads once their periods
+  /// are admitted (the kernel wake event of the paper's implementation).
+  /// Wakes are delivered at the end of the outermost monitor operation, in
+  /// the order the admissions happened.
   void set_batch_waker(BatchWakeFn waker) { batch_waker_ = std::move(waker); }
   /// Eviction-notice channel (flushed with the wakes).
   void set_evict_notifier(EvictFn notifier) {
@@ -261,7 +258,7 @@ class ProgressMonitor {
   bool watchdog_stalled(double now);
 
   /// Rejection / reclaim bookkeeping the substrates poll to surface errors:
-  /// a rejected or reclaimed-while-waiting period never gets a Waker grant,
+  /// a rejected or reclaimed-while-waiting period never gets a wake grant,
   /// so its (possibly still sleeping) owner must be able to learn its fate.
   bool is_rejected(PeriodId id) const { return rejected_.count(id) != 0; }
   bool take_rejection(PeriodId id);
@@ -354,7 +351,6 @@ class ProgressMonitor {
   ResourceMonitor* resources_;
   MonitorOptions options_;
   std::unique_ptr<WakeStrategy> strategy_;
-  WakeFn waker_;
   BatchWakeFn batch_waker_;
   EvictFn evict_notifier_;
   obs::TraceSink* sink_ = nullptr;

@@ -16,7 +16,6 @@ AdmissionConfig to_core_config(double llc_capacity_bytes,
   config.oversubscription = options.oversubscription;
   config.resource_policies = options.resource_policies;
   config.combiner = options.combiner;
-  config.fast_path = options.fast_path;
   config.partitioning = options.partitioning;
   config.feedback = options.feedback;
   config.monitor = options.monitor;
@@ -30,11 +29,16 @@ AdmissionConfig to_core_config(double llc_capacity_bytes,
 
 RdaScheduler::RdaScheduler(double llc_capacity_bytes,
                            const sim::Calibration& calib, RdaOptions options)
-    : calib_(calib), core_(to_core_config(llc_capacity_bytes, options)) {}
+    : calib_(calib),
+      fast_path_(options.fast_path),
+      core_(to_core_config(llc_capacity_bytes, options)) {}
 
 void RdaScheduler::attach(sim::ThreadWaker& waker) {
   waker_ = &waker;
-  core_.set_waker([&waker](sim::ThreadId tid) { waker.wake(tid); });
+  core_.set_batch_waker(
+      [&waker](const std::vector<ProgressMonitor::WakeGrant>& grants) {
+        for (const ProgressMonitor::WakeGrant& g : grants) waker.wake(g.thread);
+      });
 }
 
 void RdaScheduler::on_thread_exit(sim::ThreadId thread, double now) {
@@ -90,8 +94,7 @@ sim::BeginResult RdaScheduler::on_phase_begin(sim::ThreadId thread,
 
   sim::BeginResult result;
   result.admit = ticket.admitted;
-  result.call_cost =
-      ticket.fast_path ? calib_.api_fast_path_cost : calib_.api_call_cost;
+  result.call_cost = call_cost(ticket.fast_path);
   result.occupancy_cap = ticket.occupancy_cap;
   return result;
 }
@@ -127,8 +130,7 @@ sim::EndResult RdaScheduler::on_phase_end(sim::ThreadId thread,
   const ReleaseTicket ticket = core_.release(*id, counters, now);
 
   sim::EndResult result;
-  result.call_cost =
-      ticket.fast_path ? calib_.api_fast_path_cost : calib_.api_call_cost;
+  result.call_cost = call_cost(ticket.fast_path);
   return result;
 }
 

@@ -2,11 +2,11 @@
 //
 // A thin adapter over core::AdmissionCore: it translates sim phase
 // boundaries (on_phase_begin / on_phase_end) into the core's transactional
-// admit/release calls, the sim's ThreadWaker into the core's Waker, and the
-// core's fast-path verdict into the calibrated API call cost the simulator
-// charges (Fig. 11 overhead study). All policy, partitioning, feedback and
-// waitlist logic lives in the core — shared verbatim with the native
-// rt::AdmissionGate and the cluster layer's per-node gates.
+// admit/release calls, the sim's ThreadWaker into the core's batch waker,
+// and the lane that served each call into the calibrated API call cost the
+// simulator charges (Fig. 11 overhead study). All policy, partitioning,
+// feedback and waitlist logic lives in the core — shared verbatim with the
+// native rt::AdmissionGate and the cluster layer's per-node gates.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +23,9 @@ struct RdaOptions {
   PolicyKind policy = PolicyKind::kStrict;
   /// Oversubscription factor x for RDA:Compromise (paper uses 2).
   double oversubscription = 2.0;
-  /// Enable the cached-decision fast path (Fig. 11 second series).
+  /// Fig. 11 second series: charge api_fast_path_cost for every call the
+  /// core's calm lock-free lane served (api_call_cost otherwise). Selects
+  /// the simulator's cost model only; it never changes a decision.
   bool fast_path = false;
   PartitionOptions partitioning{};
   /// Multi-resource extension: when > 0, DRAM bandwidth becomes a second
@@ -85,7 +87,6 @@ class RdaScheduler final : public sim::PhaseGate {
   const AdmissionCore& core() const { return core_; }
 
   MonitorStats monitor_stats() const { return core_.stats(); }
-  std::uint64_t fast_path_hits() const { return core_.fast_path_hits(); }
   std::uint64_t partitioned_periods() const {
     return core_.partitioned_periods();
   }
@@ -95,7 +96,14 @@ class RdaScheduler final : public sim::PhaseGate {
   const DemandCorrector& corrector() const { return core_.corrector(); }
 
  private:
+  /// API cost of a call the core served on `fast_lane`.
+  double call_cost(bool fast_lane) const {
+    return fast_path_ && fast_lane ? calib_.api_fast_path_cost
+                                   : calib_.api_call_cost;
+  }
+
   sim::Calibration calib_;
+  bool fast_path_ = false;
   AdmissionCore core_;
   sim::ThreadWaker* waker_ = nullptr;
   /// Threads running ungated after a watchdog rejection: their next phase

@@ -24,11 +24,12 @@
 // global lock or any torn read of the aggregate: positive free is always
 // genuinely grantable budget, even while forced admissions overshoot.
 //
-// The per-stripe version counters support the cached-decision fast path: a
-// thread's prior admission decision is reusable only while nobody else has
-// changed any load entry; version() sums the stripes (plus 1 so a fresh
-// monitor matches the legacy epoch) and usage() reads the stripes under a
-// bounded seqlock retry loop.
+// The per-stripe version counters move on every load change (try_acquire,
+// forced admissions, decrements). A parked pool's second look compares
+// version() before and after its park to learn whether a lock-free release
+// moved the budget meanwhile; version() sums the stripes (plus 1 so a fresh
+// monitor matches the legacy epoch), and usage() reads the stripes under a
+// bounded seqlock retry loop keyed on the same counters.
 #pragma once
 
 #include <array>
@@ -135,8 +136,9 @@ class ResourceMonitor {
   /// residues of ~1e-2 bytes.
   bool effectively_free(ResourceKind kind) const;
 
-  /// Bumped on every load change; keying for cached admission decisions.
-  /// Sum of the per-stripe counters (+1 to match the legacy initial epoch).
+  /// Bumped on every load change; the pool park's second look compares it
+  /// across the park. Sum of the per-stripe counters (+1 to match the
+  /// legacy initial epoch).
   std::uint64_t version() const;
 
  private:

@@ -62,7 +62,6 @@ RunRow run_workload(const workload::WorkloadSpec& spec,
   } else {
     options.policy = config.policy;
     options.oversubscription = config.oversubscription;
-    options.fast_path = config.fast_path;
   }
 
   std::unique_ptr<core::RdaScheduler> gate;

@@ -27,8 +27,7 @@ struct RunConfig {
   sim::EngineConfig engine{};
   core::PolicyKind policy = core::PolicyKind::kLinuxDefault;
   double oversubscription = 2.0;  ///< paper's x for RDA:Compromise
-  bool fast_path = false;
-  /// Full scheduler-options override for ablations: when set, the three
+  /// Full scheduler-options override for ablations: when set, the two
   /// fields above are ignored and these options are used verbatim (a gate is
   /// still only attached when options.policy != kLinuxDefault).
   std::optional<core::RdaOptions> rda_options;

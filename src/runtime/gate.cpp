@@ -18,7 +18,6 @@ core::AdmissionConfig to_core_config(const GateConfig& config) {
   c.oversubscription = config.oversubscription;
   c.resource_policies = config.resource_policies;
   c.combiner = config.combiner;
-  c.fast_path = config.fast_path;
   c.partitioning = config.partitioning;
   c.feedback = config.feedback;
   c.monitor = config.monitor;
@@ -466,7 +465,7 @@ void AdmissionGate::end(core::PeriodId id,
   // delivery channels: grants via the batch waker, rung-3 rejections and
   // reclaims via the evict notifier — each of which notifies. Nothing here
   // to ping (the old design notified only when hardened, leaving plain
-  // waiters a lost-wakeup window whenever a fate carried no Waker call).
+  // waiters a lost-wakeup window whenever a fate carried no wake call).
   core::ReleaseTicket ticket = core_.release(id, observed, now_seconds());
   // Hand the closed period's demand buffer to this thread's next begin.
   if (ticket.record.demands.capacity() > spare_demands().capacity()) {
@@ -515,7 +514,6 @@ GateStats AdmissionGate::stats() const {
   s.wait_slices = wait_slices_.load(std::memory_order_relaxed);
   s.no_sleep_blocks = no_sleep_blocks_.load(std::memory_order_relaxed);
   s.total_wait_seconds = total_wait_seconds_.load(std::memory_order_relaxed);
-  s.fast_path_hits = core_.fast_path_hits();
   s.partitioned_periods = core_.partitioned_periods();
   s.lost_wakes = lost_wakes_.load(std::memory_order_relaxed);
   s.recovered_wakes = recovered_wakes_.load(std::memory_order_relaxed);

@@ -11,7 +11,7 @@
 // Sharded-core edition: the core is internally synchronized (lock-free calm
 // lane + slow mutex), so the gate holds NO lock across core calls. Its one
 // mutex (wait_mu_) guards only the wait-channel state: the grant/evict maps
-// the core's batched Waker and evict notifier fill in, and the pool-group
+// the core's batch waker and evict notifier fill in, and the pool-group
 // table. The core delivers wakes AFTER releasing its slow mutex, so the
 // callbacks lock wait_mu_ themselves; a grant carries its period id so a
 // late delivery (racing a timeout-recovery) can never be mistaken for a
@@ -83,11 +83,6 @@ struct GateConfig {
   /// core::AdmissionConfig.
   std::vector<core::PerResourcePolicy> resource_policies;
   core::CombinerOptions combiner{};
-  /// Enable the cached-decision fast path (Fig. 11): a repeat begin with an
-  /// unchanged demand against an unchanged load table skips nothing
-  /// semantically (the decision is still replayed) but is counted, letting
-  /// deployments measure how often a real kernel entry could be elided.
-  bool fast_path = false;
   /// §6 streaming partitioning for larger-than-LLC working sets.
   core::PartitionOptions partitioning{};
   /// Counter-feedback demand correction (fed via end(id, observation)).
@@ -120,7 +115,6 @@ struct GateStats {
   /// in-core second look before the caller ever slept.
   std::uint64_t no_sleep_blocks = 0;
   double total_wait_seconds = 0.0;  ///< cumulative blocked time
-  std::uint64_t fast_path_hits = 0;
   std::uint64_t partitioned_periods = 0;
   std::uint64_t lost_wakes = 0;       ///< grants whose notification was dropped
   std::uint64_t recovered_wakes = 0;  ///< dropped grants found by slice polls

@@ -80,9 +80,11 @@ struct Calibration {
   /// against the paper's Fig. 11: 512 middle-loop periods (1024 calls) on a
   /// ~49 ms dgemm → ~19% overhead.
   double api_call_cost = util::us(9);
-  /// Cost of an API call that hits the cached-decision fast path (a few
-  /// atomic loads + compare, no kernel entry). Calibrated against Fig. 11's
-  /// inner-loop point: 524288 calls → ~59% overhead on the same dgemm.
+  /// Cost of an API call the calm lock-free lane serves (a budget CAS and a
+  /// registry-shard insert or remove, no kernel entry); charged only when
+  /// RdaOptions::fast_path selects this cost model. Calibrated against
+  /// Fig. 11's inner-loop point: 524288 calls → ~59% overhead on the same
+  /// dgemm.
   double api_fast_path_cost = util::ns(55);
 
   // --- energy ----------------------------------------------------------------

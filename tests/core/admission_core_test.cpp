@@ -8,6 +8,7 @@
 
 #include "util/check.hpp"
 #include "util/units.hpp"
+#include "wake_log.hpp"
 
 namespace rda::core {
 namespace {
@@ -49,7 +50,7 @@ TEST(AdmissionCore, DeniedRequestParksUntilReleaseWakes) {
   config.llc_capacity_bytes = mb(16);
   AdmissionCore core(config);
   std::vector<sim::ThreadId> woken;
-  core.set_waker([&](sim::ThreadId tid) { woken.push_back(tid); });
+  core.set_batch_waker(log_wakes(woken));
 
   const AdmitTicket first = core.admit(request(1, mb(10)), 0.0);
   ASSERT_TRUE(first.admitted);
@@ -101,39 +102,45 @@ TEST(AdmissionCore, NestedAdmitThrowsBeforeAnyStatsMutation) {
   EXPECT_EQ(core.resources().usage(ResourceKind::kLLC), mb(1));
 }
 
-TEST(AdmissionCore, FastPathHitsOnRepeatIdenticalRequest) {
+TEST(AdmissionCore, FastPathTicketMarksTheCalmLane) {
   AdmissionConfig config;
   config.llc_capacity_bytes = mb(16);
-  config.fast_path = true;
   AdmissionCore core(config);
 
-  const AdmitTicket first = core.admit(request(1, mb(4)), 0.0);
-  EXPECT_FALSE(first.fast_path);
-  const ReleaseTicket end1 = core.release(first.id, {}, 0.5);
-  EXPECT_TRUE(end1.fast_path);  // empty waitlist: nobody to wake
-
-  const AdmitTicket second = core.admit(request(1, mb(4)), 1.0);
-  EXPECT_TRUE(second.fast_path);
-  EXPECT_TRUE(second.admitted);
-  EXPECT_EQ(core.fast_path_hits(), 1u);
-  core.release(second.id, {}, 1.5);
+  const AdmitTicket calm = core.admit(request(1, mb(10)), 0.0);
+  ASSERT_TRUE(calm.admitted);
+  EXPECT_TRUE(calm.fast_path);
+  const AdmitTicket parked = core.admit(request(2, mb(10)), 0.1);
+  ASSERT_FALSE(parked.admitted);
+  EXPECT_FALSE(parked.fast_path);
+  // A waiter is queued, so this release rescans on the slow lane (and
+  // grants the parked period).
+  EXPECT_FALSE(core.release(calm.id, {}, 1.0).fast_path);
+  ASSERT_TRUE(core.is_admitted(parked.id));
+  // Nobody is parked any more: the woken period's own release is calm.
+  EXPECT_TRUE(core.release(parked.id, {}, 2.0).fast_path);
+  const AdmitTicket again = core.admit(request(1, mb(4)), 3.0);
+  EXPECT_TRUE(again.fast_path);
+  EXPECT_TRUE(core.release(again.id, {}, 4.0).fast_path);
 }
 
-TEST(AdmissionCore, FastPathInvalidatedByForeignLoadChange) {
-  AdmissionConfig config;
-  config.llc_capacity_bytes = mb(16);
-  config.fast_path = true;
-  AdmissionCore core(config);
-
-  const AdmitTicket a1 = core.admit(request(1, mb(4)), 0.0);
-  core.release(a1.id, {}, 0.5);
-  // Another thread disturbs the load table between thread 1's calls.
-  const AdmitTicket b = core.admit(request(2, mb(4)), 0.6);
-  const AdmitTicket a2 = core.admit(request(1, mb(4)), 1.0);
-  EXPECT_FALSE(a2.fast_path);
-  EXPECT_EQ(core.fast_path_hits(), 0u);
-  core.release(b.id, {}, 2.0);
-  core.release(a2.id, {}, 2.0);
+TEST(AdmissionCore, FastPathTicketFalseWhenSerialStateIsAttached) {
+  // Counter feedback and the tenant ledger are serial state: every call
+  // takes the slow lane, so no ticket reports the calm lane.
+  AdmissionConfig feedback;
+  feedback.llc_capacity_bytes = mb(16);
+  feedback.feedback.enable = true;
+  TenantLedger ledger;
+  AdmissionConfig ledgered;
+  ledgered.llc_capacity_bytes = mb(16);
+  ledgered.tenant_ledger = &ledger;
+  for (const AdmissionConfig& config : {feedback, ledgered}) {
+    AdmissionCore core(config);
+    const AdmitTicket t = core.admit(request(1, mb(4)), 0.0);
+    ASSERT_TRUE(t.admitted);
+    EXPECT_FALSE(t.fast_path);
+    EXPECT_FALSE(core.release(t.id, {}, 1.0).fast_path);
+  }
 }
 
 TEST(AdmissionCore, PartitioningCapsStreamingDemand) {
@@ -185,7 +192,7 @@ TEST(AdmissionCore, BestFitWakeOrderPrefersLargestFittingWaiter) {
   config.monitor.wake_order = WakeOrder::kBestFitDemand;
   AdmissionCore core(config);
   std::vector<sim::ThreadId> woken;
-  core.set_waker([&](sim::ThreadId tid) { woken.push_back(tid); });
+  core.set_batch_waker(log_wakes(woken));
 
   const AdmitTicket hog = core.admit(request(1, mb(14)), 0.0);
   ASSERT_TRUE(hog.admitted);
@@ -342,7 +349,7 @@ TEST(AdmissionBatch, EndPeriodsUsesOneRescanForTheWholeBatch) {
   config.llc_capacity_bytes = mb(16);
   AdmissionCore core(config);
   std::vector<sim::ThreadId> woken;
-  core.set_waker([&](sim::ThreadId tid) { woken.push_back(tid); });
+  core.set_batch_waker(log_wakes(woken));
 
   const AdmitTicket a = core.admit(request(1, mb(8)), 0.0);
   const AdmitTicket b = core.admit(request(2, mb(8)), 0.0);

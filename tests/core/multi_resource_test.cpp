@@ -8,6 +8,7 @@
 #include "core/rda_scheduler.hpp"
 #include "runtime/gate.hpp"
 #include "util/units.hpp"
+#include "wake_log.hpp"
 
 namespace rda::core {
 namespace {
@@ -35,7 +36,7 @@ class MultiFixture {
         monitor_(predicate_, resources_) {
     resources_.set_capacity(ResourceKind::kLLC, static_cast<double>(MB(15)));
     resources_.set_capacity(ResourceKind::kMemBandwidth, 30e9);
-    monitor_.set_waker([this](sim::ThreadId tid) { woken_.push_back(tid); });
+    monitor_.set_batch_waker(log_wakes(woken_));
   }
 
   ResourceMonitor resources_;

@@ -6,6 +6,7 @@
 
 #include "util/check.hpp"
 #include "util/units.hpp"
+#include "wake_log.hpp"
 
 namespace rda::core {
 namespace {
@@ -23,7 +24,7 @@ class MonitorFixture {
     resources_.set_admission_bound(
         ResourceKind::kLLC,
         policy_->admission_bound(static_cast<double>(MB(15))));
-    monitor_.set_waker([this](sim::ThreadId tid) { woken_.push_back(tid); });
+    monitor_.set_batch_waker(log_wakes(woken_));
   }
 
   ProgressMonitor::BeginOutcome begin(sim::ThreadId thread,

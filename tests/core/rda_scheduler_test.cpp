@@ -77,64 +77,27 @@ TEST(RdaScheduler, SlowPathCostByDefault) {
     const auto end = sched.on_phase_end(1, 1, phase(2), sim::PhaseObservation{}, 0.0);
     EXPECT_DOUBLE_EQ(end.call_cost, calib.api_call_cost) << i;
   }
-  EXPECT_EQ(sched.fast_path_hits(), 0u);
 }
 
-TEST(RdaScheduler, FastPathAfterIdenticalRepeat) {
+TEST(RdaScheduler, FastPathChargesOnlyCallsTheCalmLaneServed) {
   RdaScheduler sched = make_sched(PolicyKind::kStrict, /*fast_path=*/true);
   RecordingWaker waker;
   sched.attach(waker);
   const sim::Calibration calib;
-  // First begin: no cache -> slow path.
-  const auto first = sched.on_phase_begin(1, 1, phase(2), 0.0);
-  EXPECT_DOUBLE_EQ(first.call_cost, calib.api_call_cost);
-  sched.on_phase_end(1, 1, phase(2), sim::PhaseObservation{}, 0.0);
-  // Identical repeat with no interleaving load change: fast path.
-  const auto second = sched.on_phase_begin(1, 1, phase(2), 0.0);
-  EXPECT_TRUE(second.admit);
-  EXPECT_DOUBLE_EQ(second.call_cost, calib.api_fast_path_cost);
-  EXPECT_EQ(sched.fast_path_hits(), 1u);
-}
-
-TEST(RdaScheduler, FastPathInvalidatedByOtherThreads) {
-  RdaScheduler sched = make_sched(PolicyKind::kStrict, /*fast_path=*/true);
-  RecordingWaker waker;
-  sched.attach(waker);
-  const sim::Calibration calib;
-  sched.on_phase_begin(1, 1, phase(2), 0.0);
-  sched.on_phase_end(1, 1, phase(2), sim::PhaseObservation{}, 0.0);
-  // Thread 2 changes the load table between thread 1's calls.
-  sched.on_phase_begin(2, 2, phase(3), 0.0);
-  const auto repeat = sched.on_phase_begin(1, 1, phase(2), 0.0);
-  EXPECT_DOUBLE_EQ(repeat.call_cost, calib.api_call_cost);  // slow again
-  EXPECT_EQ(sched.fast_path_hits(), 0u);
-}
-
-TEST(RdaScheduler, FastPathInvalidatedByDemandChange) {
-  RdaScheduler sched = make_sched(PolicyKind::kStrict, /*fast_path=*/true);
-  RecordingWaker waker;
-  sched.attach(waker);
-  const sim::Calibration calib;
-  sched.on_phase_begin(1, 1, phase(2), 0.0);
-  sched.on_phase_end(1, 1, phase(2), sim::PhaseObservation{}, 0.0);
-  const auto different = sched.on_phase_begin(1, 1, phase(4), 0.0);
-  EXPECT_DOUBLE_EQ(different.call_cost, calib.api_call_cost);
-}
-
-TEST(RdaScheduler, FastPathBlockedWhileWaitersQueued) {
-  RdaScheduler sched = make_sched(PolicyKind::kCompromise, /*fast_path=*/true);
-  RecordingWaker waker;
-  sched.attach(waker);
-  const sim::Calibration calib;
-  // Fill past 2x capacity so a waiter exists.
-  EXPECT_TRUE(sched.on_phase_begin(1, 1, phase(14), 0.0).admit);
-  EXPECT_TRUE(sched.on_phase_begin(2, 2, phase(14), 0.0).admit);
-  EXPECT_FALSE(sched.on_phase_begin(3, 3, phase(14), 0.0).admit);
-  // Thread 1 cycles; with a waiter queued, no fast path (fairness).
-  sched.on_phase_end(1, 1, phase(14), sim::PhaseObservation{}, 0.0);
-  // End wakes thread 3; thread 1 begins again — table changed anyway.
-  const auto again = sched.on_phase_begin(1, 1, phase(14), 0.0);
-  EXPECT_DOUBLE_EQ(again.call_cost, calib.api_call_cost);
+  // Nobody parked and the budget fits: the calm lane serves the begin.
+  const auto calm = sched.on_phase_begin(1, 1, phase(10), 0.0);
+  ASSERT_TRUE(calm.admit);
+  EXPECT_DOUBLE_EQ(calm.call_cost, calib.api_fast_path_cost);
+  // Over capacity: the begin parks on the slow lane.
+  const auto parked = sched.on_phase_begin(2, 2, phase(10), 0.1);
+  ASSERT_FALSE(parked.admit);
+  EXPECT_DOUBLE_EQ(parked.call_cost, calib.api_call_cost);
+  // With a waiter queued the release rescans the waitlist (and wakes it).
+  const auto rescan =
+      sched.on_phase_end(1, 1, phase(10), sim::PhaseObservation{}, 1.0);
+  EXPECT_DOUBLE_EQ(rescan.call_cost, calib.api_call_cost);
+  ASSERT_EQ(waker.woken.size(), 1u);
+  EXPECT_EQ(waker.woken[0], 2u);
 }
 
 TEST(RdaScheduler, CompromiseAdmitsUpToTwoX) {

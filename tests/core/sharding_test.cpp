@@ -198,7 +198,6 @@ TEST(Sharding, CoreAuditHoldsThroughRandomSerializedLifecycle) {
   AdmissionConfig config;
   config.llc_capacity_bytes = static_cast<double>(MB(15));
   config.policy = PolicyKind::kCompromise;
-  config.fast_path = true;
   AdmissionCore core(config);
 
   util::Rng rng(13);

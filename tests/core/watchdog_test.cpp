@@ -10,6 +10,7 @@
 #include "core/admission.hpp"
 #include "obs/recorder.hpp"
 #include "util/units.hpp"
+#include "wake_log.hpp"
 
 namespace rda::core {
 namespace {
@@ -51,7 +52,7 @@ TEST(Watchdog, RungOneClampsInfeasibleDemandAndAdmits) {
   obs::EventRecorder recorder;
   core.set_trace_sink(&recorder);
   std::vector<sim::ThreadId> woken;
-  core.set_waker([&](sim::ThreadId tid) { woken.push_back(tid); });
+  core.set_batch_waker(log_wakes(woken));
 
   const AdmitTicket holder = core.admit(request(1, mb(6)), 0.0);
   ASSERT_TRUE(holder.admitted);
@@ -83,7 +84,7 @@ TEST(Watchdog, RungTwoForceAdmitsWithOversubscriptionTally) {
   obs::EventRecorder recorder;
   core.set_trace_sink(&recorder);
   std::vector<sim::ThreadId> woken;
-  core.set_waker([&](sim::ThreadId tid) { woken.push_back(tid); });
+  core.set_batch_waker(log_wakes(woken));
 
   const AdmitTicket holder = core.admit(request(1, mb(10)), 0.0);
   ASSERT_TRUE(holder.admitted);
@@ -118,7 +119,7 @@ TEST(Watchdog, RungThreeRejectsAndSurfacesTheEviction) {
   obs::EventRecorder recorder;
   core.set_trace_sink(&recorder);
   std::vector<sim::ThreadId> woken;
-  core.set_waker([&](sim::ThreadId tid) { woken.push_back(tid); });
+  core.set_batch_waker(log_wakes(woken));
 
   const AdmitTicket holder = core.admit(request(1, mb(10)), 0.0);
   const AdmitTicket starved = core.admit(request(2, mb(12)), 0.1);
@@ -153,7 +154,7 @@ TEST(Watchdog, TimeTriggerEscalatesOnlyAfterTheDeadline) {
   wd.clamp_fraction = 0.5;
   AdmissionCore core(watchdog_config(wd));
   std::vector<sim::ThreadId> woken;
-  core.set_waker([&](sim::ThreadId tid) { woken.push_back(tid); });
+  core.set_batch_waker(log_wakes(woken));
 
   core.admit(request(1, mb(6)), 0.0);
   const AdmitTicket big = core.admit(request(2, mb(24)), 0.1);
@@ -174,7 +175,7 @@ TEST(Watchdog, StallTriggerEscalatesImmediately) {
   wd.clamp_fraction = 0.5;
   AdmissionCore core(watchdog_config(wd));
   std::vector<sim::ThreadId> woken;
-  core.set_waker([&](sim::ThreadId tid) { woken.push_back(tid); });
+  core.set_batch_waker(log_wakes(woken));
 
   core.admit(request(1, mb(6)), 0.0);
   const AdmitTicket big = core.admit(request(2, mb(24)), 0.1);
@@ -210,7 +211,7 @@ TEST(Reclaim, ReapAdmittedOrphanReturnsLoadAndWakesWaiter) {
   obs::EventRecorder recorder;
   core.set_trace_sink(&recorder);
   std::vector<sim::ThreadId> woken;
-  core.set_waker([&](sim::ThreadId tid) { woken.push_back(tid); });
+  core.set_batch_waker(log_wakes(woken));
 
   const AdmitTicket orphan = core.admit(request(1, mb(6)), 0.0);
   ASSERT_TRUE(orphan.admitted);
@@ -240,7 +241,7 @@ TEST(Reclaim, ReapWaitlistedOrphanEvictsEntry) {
   config.llc_capacity_bytes = mb(16);
   AdmissionCore core(config);
   std::vector<sim::ThreadId> woken;
-  core.set_waker([&](sim::ThreadId tid) { woken.push_back(tid); });
+  core.set_batch_waker(log_wakes(woken));
 
   const AdmitTicket holder = core.admit(request(1, mb(12)), 0.0);
   const AdmitTicket parked = core.admit(request(2, mb(12)), 0.1);

@@ -122,14 +122,13 @@ TEST(ContendedStress, SixteenThreadChurnDrainsClean) {
 TEST(ContendedStress, SixteenThreadChurnCompromiseFastPath) {
   rt::GateConfig config;
   config.policy = core::PolicyKind::kCompromise;
-  config.fast_path = true;
   run_churn(config, 4048, 200);
 }
 
 TEST(ContendedStress, SixteenThreadChurnHardenedSlicedWaits) {
   // An armed-but-empty injector forces every wait onto the hardened sliced
   // path and every core call onto the slow lane — the opposite extreme
-  // from the fast-path run above.
+  // from the calm-lane runs above.
   fault::FaultInjector injector{fault::FaultPlan{}};
   rt::GateConfig config;
   config.policy = core::PolicyKind::kStrict;

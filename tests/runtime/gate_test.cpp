@@ -377,20 +377,6 @@ TEST(AdmissionGate, TimedBeginRaceConsumesOrReleasesGrant) {
   EXPECT_EQ(granted + timed_out, 400);
 }
 
-TEST(AdmissionGate, FastPathCountsRepeatedIdenticalBegins) {
-  GateConfig cfg = strict_config();
-  cfg.fast_path = true;
-  AdmissionGate gate(cfg);
-  for (int i = 0; i < 8; ++i) {
-    const auto id = gate.begin(ResourceKind::kLLC,
-                               static_cast<double>(MB(4)), ReuseLevel::kHigh,
-                               "steady");
-    gate.end(id);
-  }
-  // The first begin misses; every later identical, undisturbed one hits.
-  EXPECT_EQ(gate.stats().fast_path_hits, 7u);
-}
-
 TEST(AdmissionGate, PartitioningAdmitsStreamingPeriodAlongsideNormal) {
   GateConfig cfg = strict_config();  // 15 MB LLC
   cfg.partitioning.enable = true;
