@@ -15,6 +15,10 @@
 //     across drain-shard counts; the lockstep merge makes K a pure
 //     concurrency knob). Their goodput/p99 regression gate against the
 //     committed baseline needs no machine calibration.
+//   * Each virtual-time cell also records its host cost: wall-clock µs
+//     per arrival for its frontend.run(), divided by the calib.hpp machine
+//     factor. Printed and written to the JSON, never gated, and kept out
+//     of --csv (host time is not deterministic).
 //   * The wall-clock pump cells measure this machine today: batched drain
 //     vs per-call admission on slow-lane-pinned cores, and the
 //     drain-scaling point (4 drain shards over a 4-node fleet vs one
@@ -23,6 +27,7 @@
 //     mysterious null, and the committed mops floor is scaled by the
 //     calib.hpp drift kernel.
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -55,6 +60,7 @@ struct Cell {
 struct CellResult {
   Cell cell;
   service::ServiceReport report;
+  double host_us_per_arrival = 0.0;  ///< raw wall clock, not normalised
 };
 
 std::vector<Cell> build_cells() {
@@ -121,7 +127,13 @@ CellResult run_cell(const Cell& cell, std::uint64_t arrivals, int shards) {
   service::ServiceFrontEnd frontend(cfg);
   CellResult result;
   result.cell = cell;
+  const auto t0 = std::chrono::steady_clock::now();
   result.report = frontend.run(gen, arrivals);
+  result.host_us_per_arrival =
+      std::chrono::duration<double, std::micro>(
+          std::chrono::steady_clock::now() - t0)
+          .count() /
+      static_cast<double>(arrivals);
 
   // Ledger invariants every cell must satisfy, fault or not: each arrival
   // resolves exactly once, and nothing is left queued or in flight.
@@ -207,16 +219,23 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  const double calib_ns = bench::bench_calibration();
+  const double machine_factor =
+      std::max(1.0, calib_ns / bench::kCalibBaselineNs);
+  const auto host_us = [&](const CellResult& r) {
+    return r.host_us_per_arrival / machine_factor;
+  };
+
   for (const CellResult& r : results) {
     std::printf(
         "%-28s goodput %8.1f/s  work %8.5f s/s  p50 %6.2f ms  p95 %6.2f ms  "
-        "p99 %6.2f ms  steals %llu  reroutes %llu\n",
+        "p99 %6.2f ms  steals %llu  reroutes %llu  host %.3f us/arrival\n",
         r.cell.name.c_str(), r.report.goodput_per_second,
         r.report.work_per_second, 1e3 * r.report.admission_latency.p50(),
         1e3 * r.report.admission_latency.p95(),
         1e3 * r.report.admission_latency.p99(),
         static_cast<unsigned long long>(r.report.stats.steals),
-        static_cast<unsigned long long>(r.report.stats.reroutes));
+        static_cast<unsigned long long>(r.report.stats.reroutes), host_us(r));
   }
 
   // Locality must beat random placement on every shape (same trace, same
@@ -236,9 +255,6 @@ int main(int argc, char** argv) {
   // slow-lane-pinned core. Below 8 real cores the producers time-slice one
   // another and the ratio measures the OS scheduler — skip with a reason.
   const unsigned cores = std::thread::hardware_concurrency();
-  const double calib_ns = bench::bench_calibration();
-  const double machine_factor =
-      std::max(1.0, calib_ns / bench::kCalibBaselineNs);
   double per_call_mops = 0.0;
   double batched_mops = 0.0;
   double batch_speedup = 0.0;
@@ -299,7 +315,8 @@ int main(int argc, char** argv) {
         "    {\"name\": \"%s\", \"goodput\": %.3f, \"work_per_second\": "
         "%.6f,\n     \"p50_ms\": %.4f, \"p95_ms\": %.4f, \"p99_ms\": %.4f,\n"
         "     \"completed\": %llu, \"shed\": %llu, \"steals\": %llu, "
-        "\"reroutes\": %llu, \"mailboxed\": %llu}%s\n",
+        "\"reroutes\": %llu, \"mailboxed\": %llu,\n"
+        "     \"host_us_per_arrival\": %.4f}%s\n",
         r.cell.name.c_str(), r.report.goodput_per_second,
         r.report.work_per_second, 1e3 * r.report.admission_latency.p50(),
         1e3 * r.report.admission_latency.p95(),
@@ -309,7 +326,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(r.report.stats.steals),
         static_cast<unsigned long long>(r.report.stats.reroutes),
         static_cast<unsigned long long>(r.report.stats.mailboxed),
-        i + 1 < results.size() ? "," : "");
+        host_us(r), i + 1 < results.size() ? "," : "");
     json << buf;
   }
   json << "  ],\n";

@@ -4,35 +4,26 @@
 
 namespace rda::obs {
 
-namespace {
-std::size_t round_up_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-}  // namespace
-
 EventRing::EventRing(std::size_t capacity) {
   RDA_CHECK(capacity > 0);
-  slots_.resize(round_up_pow2(capacity));
+  slots_.resize(capacity);
 }
 
 void EventRing::push(const Event& event) {
   SpinGuard guard(lock_);
-  slots_[next_ & (slots_.size() - 1)] = event;
+  slots_[cursor_] = event;
+  if (++cursor_ == slots_.size()) cursor_ = 0;
   ++next_;
 }
 
 std::vector<Event> EventRing::snapshot() const {
   SpinGuard guard(lock_);
-  const std::size_t mask = slots_.size() - 1;
-  const std::uint64_t held =
-      next_ < slots_.size() ? next_ : static_cast<std::uint64_t>(slots_.size());
+  // The cursor splits the slots: [cursor_, end) is older than [0, cursor_)
+  // once the ring has wrapped, and unwritten before that.
+  const auto cursor = slots_.begin() + static_cast<std::ptrdiff_t>(cursor_);
   std::vector<Event> out;
-  out.reserve(static_cast<std::size_t>(held));
-  for (std::uint64_t i = next_ - held; i < next_; ++i) {
-    out.push_back(slots_[i & mask]);
-  }
+  if (next_ >= slots_.size()) out.assign(cursor, slots_.end());
+  out.insert(out.end(), slots_.begin(), cursor);
   return out;
 }
 

@@ -1,11 +1,13 @@
 // Fixed-capacity event ring buffer.
 //
-// Bounded memory no matter how long the run: once full, the oldest events
-// are overwritten and counted as dropped (exporters and the reconciliation
-// check refuse to reason about a lossy capture). A spinlock guards the few
-// stores of one record — admission events are rare relative to work, and
-// the critical section is a handful of nanoseconds, so a futex-based mutex
-// would cost more than it protects.
+// Bounded memory no matter how long the run: the ring holds exactly the
+// capacity it is given (no rounding up), allocated and zero-filled at
+// construction so recording never takes a page fault. Once full, the
+// oldest events are overwritten and counted as dropped (exporters and the
+// reconciliation check refuse to reason about a lossy capture). A
+// spinlock guards the few stores of one record — admission events are
+// rare relative to work, and the critical section is a handful of
+// nanoseconds, so a futex-based mutex would cost more than it protects.
 #pragma once
 
 #include <atomic>
@@ -45,7 +47,7 @@ class SpinGuard {
 
 class EventRing {
  public:
-  /// Capacity is rounded up to a power of two (index masking).
+  /// Holds exactly `capacity` events.
   explicit EventRing(std::size_t capacity = 1 << 16);
 
   void push(const Event& event);
@@ -61,7 +63,8 @@ class EventRing {
  private:
   mutable SpinLock lock_;
   std::vector<Event> slots_;
-  std::uint64_t next_ = 0;  ///< monotone write index (== total recorded)
+  std::size_t cursor_ = 0;  ///< next slot to write; wraps at capacity
+  std::uint64_t next_ = 0;  ///< monotone write count (== total recorded)
 };
 
 }  // namespace rda::obs

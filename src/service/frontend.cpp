@@ -52,15 +52,7 @@ ServiceFrontEnd::ServiceFrontEnd(ServiceConfig config)
     if (opts.trace_sink == nullptr) opts.trace_sink = config_.trace_sink;
     ledger_ = std::make_unique<core::TenantLedger>(opts);
   }
-  // Every shard queue gets the FULL global capacity: the overflow decision
-  // is made against the global backlog in enqueue(), so a per-shard push
-  // must never fail on its own — even if the tenant hash sends everything
-  // to one shard.
   shards_.resize(static_cast<std::size_t>(num_shards_));
-  for (DrainShard& shard : shards_) {
-    shard.queue =
-        std::make_unique<SubmissionQueue<Sub>>(config_.queue_capacity);
-  }
   cores_.reserve(static_cast<std::size_t>(config_.nodes));
   for (int n = 0; n < config_.nodes; ++n) {
     core::AdmissionConfig cc;
@@ -128,8 +120,7 @@ void ServiceFrontEnd::enqueue(const Sub& sub, double at) {
   queued.enqueue_time = at;
   DrainShard& shard =
       shards_[static_cast<std::size_t>(shard_for_tenant(sub.tenant))];
-  RDA_CHECK_MSG(shard.queue->push(queued),
-                "shard queue full below the global capacity bound");
+  shard.queue.push_back(queued);
   ++queue_backlog_;
   ++shard.counters.enqueued;
   ++stats_.enqueued;
@@ -731,24 +722,17 @@ std::vector<ServiceFrontEnd::Sub> ServiceFrontEnd::merge_drain_batch() {
     popped.push_back(std::move(entry.value));
   }
 
-  // Top up each shard's staging runway to the full batch cap. The merge
-  // below then yields a true global-FIFO prefix: a shard that contributed
-  // fewer than cap entries has an EMPTY queue, so no submission it holds
-  // could have outranked one the merge took.
+  // A shard's merge runway is the first drain_batch_max entries of its
+  // FIFO: the most the merge below can take from it.
   for (DrainShard& shard : shards_) {
-    if (shard.staged.size() < config_.drain_batch_max) {
-      std::vector<Sub> refill;
-      shard.queue->pop_batch(refill,
-                             config_.drain_batch_max - shard.staged.size());
-      for (Sub& sub : refill) shard.staged.push_back(std::move(sub));
-    }
     shard.counters.peak_staged = std::max(
         shard.counters.peak_staged,
-        static_cast<std::uint64_t>(shard.staged.size()));
+        static_cast<std::uint64_t>(
+            std::min(shard.queue.size(), config_.drain_batch_max)));
   }
 
-  // K-way min-seq merge of the runway heads. Fresh arrivals enter their
-  // shard queue in ascending global seq, so each runway is an ascending
+  // K-way min-seq merge of the shard FIFO heads. Fresh arrivals enter
+  // their shard FIFO in ascending global seq, so each FIFO is an ascending
   // subsequence and picking the smallest head reconstructs the order a
   // single queue would have popped — byte-identical for any K.
   std::size_t room = popped.size() < config_.drain_batch_max
@@ -757,15 +741,15 @@ std::vector<ServiceFrontEnd::Sub> ServiceFrontEnd::merge_drain_batch() {
   while (room > 0) {
     DrainShard* best = nullptr;
     for (DrainShard& shard : shards_) {
-      if (shard.staged.empty()) continue;
+      if (shard.queue.empty()) continue;
       if (best == nullptr ||
-          shard.staged.front().seq < best->staged.front().seq) {
+          shard.queue.front().seq < best->queue.front().seq) {
         best = &shard;
       }
     }
     if (best == nullptr) break;
-    popped.push_back(std::move(best->staged.front()));
-    best->staged.pop_front();
+    popped.push_back(std::move(best->queue.front()));
+    best->queue.pop_front();
     ++best->counters.drained;
     --queue_backlog_;
     --room;
@@ -917,8 +901,8 @@ void ServiceFrontEnd::update_ladder() {
   // the GLOBAL depth above, so escalation decisions are identical for any
   // shard count (a per-shard trigger would make admission depend on K).
   for (DrainShard& shard : shards_) {
-    const auto local = static_cast<double>(
-        shard.queue->size() + shard.staged.size() + shard.inbox.size());
+    const auto local =
+        static_cast<double>(shard.queue.size() + shard.inbox.size());
     shard.counters.backlog_ewma =
         alpha * local + (1.0 - alpha) * shard.counters.backlog_ewma;
   }

@@ -3,23 +3,23 @@
 // Wires the open-loop arrival stream into the sharded AdmissionCore the way
 // a production service would: arrivals are routed AT PUSH TIME to one of K
 // drain shards (a seeded hash of the tenant id — K defaults to the node
-// count), each with its own bounded MPSC submission queue; the drain loop
-// runs on a fixed virtual-time cadence and, per pass, (1) releases every
-// period whose service completed, (2) lets an idle node steal a parked
-// tenant batch, (3) drains each shard's mailbox and queue, merges the
-// shard streams into one deterministic batch, routes each submission to a
-// node, and admits each node's share with ONE admit_batch/release_batch
-// call — so the slow-lane mutex, the waitlist rescan, and the wake
+// count), each with its own FIFO of submissions; the drain loop runs on a
+// fixed virtual-time cadence and, per pass, (1) releases every period
+// whose service completed, (2) lets an idle node steal a parked tenant
+// batch, (3) drains each shard's mailbox and queue, merges the shard
+// streams into one deterministic batch, routes each submission to a node,
+// and admits each node's share with ONE admit_batch/release_batch call —
+// so the slow-lane mutex, the waitlist rescan, and the wake
 // delivery are paid once per node per pass instead of once per period.
 //
 // Sharded drain execution model (DESIGN §16). Each shard is the sole
-// consumer of its own queue; cross-shard effects (steals, node-death
+// consumer of its own FIFO; cross-shard effects (steals, node-death
 // reroutes) go through seniority-ordered per-shard mailboxes drained at
 // pass start, so no shard ever touches another shard's queue tail. In
 // virtual time the shards run lockstep rounds and the pass merges their
 // streams back into the canonical global order — all mailbox requeues
 // first (ascending seniority = decision order), then a k-way min-seq merge
-// of the shard staging runways — so the run is byte-identical for ANY
+// of the shard FIFO heads — so the run is byte-identical for ANY
 // shard count: K=1, K=4, and K=16 produce the same checksum, the same
 // trace, the same CSV. The overload ladder stays global for the same
 // reason (per-shard EWMAs would make admission decisions depend on K);
@@ -65,7 +65,6 @@
 #include "obs/histogram.hpp"
 #include "obs/sink.hpp"
 #include "service/arrival.hpp"
-#include "service/queue.hpp"
 #include "service/shard.hpp"
 #include "util/rng.hpp"
 
@@ -101,8 +100,8 @@ struct NodeFault {
 struct ServiceConfig {
   int nodes = 4;
   /// Drain shards (K): submissions are routed at push time to shard
-  /// shard_of_tenant(seed, tenant, K), each shard owning its own bounded
-  /// queue. 0 = one shard per node. Byte-determinism holds for ANY K — the
+  /// shard_of_tenant(seed, tenant, K), each shard owning its own FIFO.
+  /// 0 = one shard per node. Byte-determinism holds for ANY K — the
   /// lockstep merge restores the canonical global order — so K is purely a
   /// concurrency knob for the wall-clock pump, never a behavior knob.
   int drain_shards = 0;
@@ -116,6 +115,9 @@ struct ServiceConfig {
   RoutePolicy routing = RoutePolicy::kLocalityAware;
   double drain_interval_seconds = 1.0e-3;
   std::size_t drain_batch_max = 4096;
+  /// Global overflow bound: a push is dropped when this many submissions
+  /// are already queued across all shards (mailboxed and parked work does
+  /// not count). The only bound on the shard FIFOs.
   std::size_t queue_capacity = 1 << 16;
   LadderOptions ladder{};
   /// Rung-2 under-declaration factor (the paper's Compromise x).
@@ -212,8 +214,10 @@ struct ShardCounters {
   std::uint64_t drained = 0;      ///< submissions this shard fed to merges
   std::uint64_t mail_in = 0;      ///< requeues drained from this inbox
   std::uint64_t mail_out = 0;     ///< requeues this shard's nodes displaced
-  std::uint64_t peak_staged = 0;  ///< deepest staging runway seen
-  double backlog_ewma = 0.0;      ///< smoothed queue+staged+inbox depth
+  /// Deepest merge runway seen: min(queue depth, drain_batch_max) at the
+  /// start of each merge.
+  std::uint64_t peak_staged = 0;
+  double backlog_ewma = 0.0;      ///< smoothed queue+inbox depth
 };
 
 /// Per-tenant outcome ledger, tracked in every run (enforcement on or off)
@@ -291,7 +295,7 @@ class ServiceFrontEnd {
   /// Per-resource declared demand, indexed by ResourceKind.
   using DemandVector = std::array<double, kNumResourceKinds>;
 
-  /// One queued submission (the MPSC queue element).
+  /// One queued submission (the shard FIFO element).
   struct Sub {
     std::uint64_t seq = 0;
     std::uint64_t tenant = 1;
@@ -330,14 +334,13 @@ class ServiceFrontEnd {
     }
   };
 
-  /// One drain shard: its own MPSC queue (this shard is the sole
-  /// consumer), the staging runway the lockstep merge pulls from (popped
-  /// off the queue but not yet merged into a batch — keeping it per shard
-  /// preserves the per-queue FIFO prefix the min-seq merge needs), and the
-  /// seniority-ordered inbox for cross-shard requeues.
+  /// One drain shard: the FIFO of its tenants' fresh arrivals, in
+  /// ascending global seq (the lockstep merge reads its head directly),
+  /// and the seniority-ordered inbox for cross-shard requeues. The run is
+  /// single-threaded, so a plain deque serves; it holds only what is
+  /// queued, and the global queue_capacity bounds all shards together.
   struct DrainShard {
-    std::unique_ptr<SubmissionQueue<Sub>> queue;
-    std::deque<Sub> staged;
+    std::deque<Sub> queue;
     Mailbox<Sub> inbox;
     ShardCounters counters;
     /// Audits captured by this shard's nodes since the last drain pass,
@@ -399,7 +402,7 @@ class ServiceFrontEnd {
 
   /// Assembles the pass's drain batch: all mailbox requeues in ascending
   /// seniority (decision order), then a k-way min-seq merge of the shard
-  /// staging runways up to drain_batch_max. The result is the canonical
+  /// FIFO heads up to drain_batch_max. The result is the canonical
   /// global order for any shard count.
   std::vector<Sub> merge_drain_batch();
   std::size_t inbox_backlog() const;
@@ -412,10 +415,10 @@ class ServiceFrontEnd {
   /// (globally sequential) fault/steal phases, so ascending seniority
   /// replays displaced work in exactly the order it was displaced.
   std::uint64_t requeue_seq_ = 0;
-  /// Submissions accepted but not yet merged into a drain batch (queues +
-  /// staging runways, summed over shards). The overflow decision tests
-  /// this GLOBAL count against queue_capacity — per-shard occupancy varies
-  /// with K, the global backlog does not, so drops are K-invariant.
+  /// Submissions accepted but not yet merged into a drain batch (shard
+  /// FIFOs summed). The overflow decision tests this GLOBAL count against
+  /// queue_capacity — per-shard occupancy varies with K, the global
+  /// backlog does not, so drops are K-invariant.
   std::size_t queue_backlog_ = 0;
   util::Rng rng_;
   double now_ = 0.0;

@@ -1,16 +1,18 @@
 // Lock-light bounded MPSC submission queue (Vyukov's array queue).
 //
-// The front door of the service: producer threads (or the virtual-time
-// arrival loop) push submissions with one CAS-free fetch_add-style ticket
-// per slot, and the single drain loop pops them in FIFO order, a batch at
-// a time. The classic Dmitry Vyukov bounded-MPMC sequence scheme is used
-// — each cell carries a sequence number the producer/consumer compare
-// against their ticket, so neither side ever takes a lock and a full or
-// empty queue is detected without blocking.
+// The wall-clock pump's queue (service/pump.hpp): real producer threads
+// push submissions concurrently, one CAS on the head per slot, and the
+// single drain loop pops them in FIFO order, a batch at a time. The
+// virtual-time ServiceFrontEnd does not use it: that run is
+// single-threaded, so each drain shard keeps a plain FIFO instead. The
+// classic Dmitry Vyukov bounded-MPMC sequence scheme is used — each cell
+// carries a sequence number the producer/consumer compare against their
+// ticket, so neither side ever takes a lock and a full or empty queue is
+// detected without blocking.
 //
 // push() is multi-producer safe. pop()/pop_batch() assume a SINGLE
-// consumer (the drain loop owns the tail) — that is the service design:
-// one drainer per front end, so admissions can be batched per drain pass.
+// consumer (the drain loop owns the tail) — that is the pump's design:
+// one drainer per queue, so admissions can be batched per drain pass.
 #pragma once
 
 #include <atomic>

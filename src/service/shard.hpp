@@ -2,13 +2,14 @@
 // inter-shard mailbox.
 //
 // The drain loop is sharded K ways (DESIGN §16): every submission is
-// routed AT PUSH TIME to one of K per-shard `SubmissionQueue`s by a seeded
-// hash of its tenant id, and each shard is the sole consumer of its own
-// queue — no shard ever touches another shard's queue tail. Cross-shard
-// effects (whole-tenant work stealing, node-death reroutes, spill
-// placement on another shard's node) never reach into a foreign queue
-// either; they are posted to the target shard's `Mailbox` and drained at
-// the start of the next drain pass.
+// routed AT PUSH TIME to one of K per-shard queues by a seeded hash of its
+// tenant id (a plain FIFO in the virtual-time front end, a
+// `SubmissionQueue` in the wall-clock pump), and each shard is the sole
+// consumer of its own queue — no shard ever touches another shard's queue
+// tail. Cross-shard effects (whole-tenant work stealing, node-death
+// reroutes, spill placement on another shard's node) never reach into a
+// foreign queue either; they are posted to the target shard's `Mailbox`
+// and drained at the start of the next drain pass.
 //
 // Mailbox ordering is the load-bearing determinism rule: every entry
 // carries a global seniority number assigned when the requeue decision was

@@ -15,12 +15,31 @@ Event event_with_period(core::PeriodId id) {
   return e;
 }
 
-TEST(EventRing, CapacityRoundsUpToPowerOfTwo) {
+TEST(EventRing, CapacityIsExact) {
   EXPECT_EQ(EventRing(1).capacity(), 1u);
-  EXPECT_EQ(EventRing(2).capacity(), 2u);
-  EXPECT_EQ(EventRing(5).capacity(), 8u);
+  EXPECT_EQ(EventRing(5).capacity(), 5u);
   EXPECT_EQ(EventRing(8).capacity(), 8u);
-  EXPECT_EQ(EventRing(1000).capacity(), 1024u);
+  EXPECT_EQ(EventRing(1000).capacity(), 1000u);
+}
+
+TEST(EventRing, WrapAroundAtNonPowerOfTwoCapacity) {
+  // One push short of a lap, exactly one lap, part of a second lap, and
+  // several laps: the ring always hands back the newest 5, oldest first.
+  for (const core::PeriodId n : {4u, 5u, 6u, 9u, 10u, 23u}) {
+    SCOPED_TRACE(n);
+    EventRing ring(5);
+    for (core::PeriodId id = 1; id <= n; ++id) {
+      ring.push(event_with_period(id));
+    }
+    const std::uint64_t held = n < 5 ? n : 5;
+    EXPECT_EQ(ring.total_recorded(), n);
+    EXPECT_EQ(ring.dropped(), n - held);
+    const std::vector<Event> events = ring.snapshot();
+    ASSERT_EQ(events.size(), held);
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      EXPECT_EQ(events[i].period, n - held + 1 + i);
+    }
+  }
 }
 
 TEST(EventRing, SnapshotReturnsEventsInOrder) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "obs/recorder.hpp"
 #include "obs/reconcile.hpp"
 
@@ -153,6 +155,113 @@ TEST(ServiceFrontEnd, ShardedDrainIsByteIdenticalAcrossShardCounts) {
     EXPECT_EQ(drained, r.stats.drained);
     EXPECT_EQ(mail_in, r.stats.mailboxed);
     EXPECT_EQ(mail_out, r.stats.mailboxed);
+  }
+}
+
+TEST(ServiceFrontEnd, GlobalQueueCapacityIsTheOnlyOverflowBound) {
+  // Bursts that outrun the drain against a 64-deep global bound: pushes
+  // beyond the bound are dropped, whichever shard the tenant hashes to.
+  // The drop decision reads only the global backlog, so the drops, and
+  // everything downstream of them, are the same for any K.
+  ArrivalConfig arr = calm_arrivals(43);
+  arr.shape = ArrivalShape::kBursty;
+  arr.rate = 25000.0;
+  ServiceConfig cfg = small_service();
+  cfg.queue_capacity = 64;
+  constexpr std::uint64_t kArrivals = 20000;
+
+  std::vector<ServiceReport> reports;
+  for (const int shards : {1, 4, 16}) {
+    cfg.drain_shards = shards;
+    ArrivalGenerator gen(arr);
+    ServiceFrontEnd service(cfg);
+    reports.push_back(service.run(gen, kArrivals));
+  }
+  const ServiceReport& base = reports.front();
+  EXPECT_GT(base.stats.overflow_drops, 0u);
+  for (const ServiceReport& r : reports) {
+    const ServiceStats& s = r.stats;
+    EXPECT_EQ(s.completed + s.shed + s.overflow_drops, kArrivals);
+    EXPECT_EQ(s.still_queued, 0u);
+    EXPECT_EQ(r.checksum, base.checksum);
+    EXPECT_EQ(s.enqueued, base.stats.enqueued);
+    EXPECT_EQ(s.drains, base.stats.drains);
+    EXPECT_EQ(s.drained, base.stats.drained);
+    EXPECT_EQ(s.shed, base.stats.shed);
+    EXPECT_EQ(s.steals, base.stats.steals);
+    EXPECT_EQ(s.stolen, base.stats.stolen);
+    EXPECT_EQ(s.mailboxed, base.stats.mailboxed);
+    EXPECT_EQ(s.admitted, base.stats.admitted);
+    EXPECT_EQ(s.woken, base.stats.woken);
+    EXPECT_EQ(s.completed, base.stats.completed);
+    EXPECT_EQ(s.clamped, base.stats.clamped);
+    EXPECT_EQ(s.oversubscribed, base.stats.oversubscribed);
+    EXPECT_EQ(s.escalations, base.stats.escalations);
+    EXPECT_EQ(s.deescalations, base.stats.deescalations);
+    EXPECT_EQ(s.overflow_drops, base.stats.overflow_drops);
+    EXPECT_EQ(s.max_backlog, base.stats.max_backlog);
+    EXPECT_EQ(s.final_rung, base.stats.final_rung);
+    EXPECT_EQ(r.elapsed_seconds, base.elapsed_seconds);
+    EXPECT_EQ(r.admission_latency.p99(), base.admission_latency.p99());
+    ASSERT_EQ(r.tenants.size(), base.tenants.size());
+    for (std::size_t i = 0; i < r.tenants.size(); ++i) {
+      const TenantSummary& x = r.tenants[i];
+      const TenantSummary& y = base.tenants[i];
+      EXPECT_EQ(x.tenant, y.tenant);
+      EXPECT_EQ(x.arrivals, y.arrivals);
+      EXPECT_EQ(x.completed, y.completed);
+      EXPECT_EQ(x.shed, y.shed);
+      EXPECT_EQ(x.work, y.work);
+      EXPECT_EQ(x.admissions, y.admissions);
+      EXPECT_EQ(x.latency_sum, y.latency_sum);
+    }
+  }
+}
+
+TEST(ServiceFrontEnd, ShardCountersArePinnedAtFourShards) {
+  // Every per-shard counter of one fixed run (values recorded before the
+  // shard queues became plain FIFOs). peak_staged and backlog_ewma see
+  // the shard's unmerged depth, so a change to how a shard holds its
+  // submissions shows up here even when the merged order does not move.
+  ArrivalConfig arr = calm_arrivals(37);
+  arr.rate = 1500.0;
+  arr.demand_mean_bytes = 6.0 * kMB;
+  arr.service_mean_seconds = 5.0e-3;
+  ServiceConfig cfg;
+  cfg.nodes = 2;
+  cfg.drain_shards = 4;
+  cfg.node_llc_bytes = 15.0 * kMB;
+  cfg.drain_batch_max = 4;
+  cfg.ladder.queue_high = 1.0e9;
+  cfg.ladder.latency_high_seconds = 1.0e9;
+  cfg.fault.node = 1;
+  cfg.fault.fail_at_seconds = 0.2;
+  cfg.fault.recover_at_seconds = 0.35;
+  ArrivalGenerator gen(arr);
+  ServiceFrontEnd service(cfg);
+  const ServiceReport report = service.run(gen, 1200);
+
+  struct Expected {
+    std::uint64_t enqueued, drained, mail_in, mail_out, peak_staged;
+    std::uint64_t backlog_ewma_bits;
+  };
+  const Expected expected[] = {
+      {224, 289, 65, 152, 3, 0x365e684fa3b057acull},
+      {240, 289, 49, 46, 3, 0x36994f981fbbc784ull},
+      {240, 295, 55, 0, 3, 0x310026c296146e9full},
+      {496, 525, 29, 0, 4, 0x35aa5c70052c13d0ull},
+  };
+  ASSERT_EQ(report.shards.size(), 4u);
+  for (std::size_t k = 0; k < 4; ++k) {
+    SCOPED_TRACE(k);
+    const ShardCounters& c = report.shards[k];
+    EXPECT_EQ(c.enqueued, expected[k].enqueued);
+    EXPECT_EQ(c.drained, expected[k].drained);
+    EXPECT_EQ(c.mail_in, expected[k].mail_in);
+    EXPECT_EQ(c.mail_out, expected[k].mail_out);
+    EXPECT_EQ(c.peak_staged, expected[k].peak_staged);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(c.backlog_ewma),
+              expected[k].backlog_ewma_bits);
   }
 }
 
