@@ -25,13 +25,13 @@ if [[ "$run_tsan" == 1 ]]; then
       -R 'AdmissionGate|AdmissionCore|AdmissionParity|ContendedStress|Sharding|GateRace|ProfilePipeline|TraceArena|MatrixDeterminism|FaultGate|FaultScenario|Watchdog|Reclaim|ServiceRace|ServicePump|ShardMailbox|SubmissionQueue|TenantLedger|Adversary|Credit' \
       --output-on-failure -j "$(nproc)" )
 
-  echo "== tier-1: admission core/gate/waitlist + fault/recovery tests under ASan+UBSan =="
+  echo "== tier-1: admission core/gate/waitlist + feedback/cluster + fault/recovery tests under ASan+UBSan =="
   cmake --preset asan
   cmake --build --preset asan -j "$(nproc)" \
     --target runtime_test core_test integration_test fault_test trace_test \
-             util_test service_test
+             util_test service_test cluster_test
   ( cd build-asan && ctest \
-      -R 'AdmissionGate|AdmissionCore|AdmissionParity|ContendedStress|Sharding|GateRace|Waitlist|WakeStrategy|FaultInjector|FaultScenario|FaultGate|Watchdog|Reclaim|TraceCorrupt|AtomicFile|ServiceRace|ServicePump|ServiceFrontEnd|ShardHash|ShardMailbox|ArrivalTrace|SubmissionQueue|TenantLedger|Adversary|Credit' \
+      -R 'AdmissionGate|AdmissionCore|AdmissionParity|ContendedStress|Sharding|GateRace|Waitlist|WakeStrategy|FaultInjector|FaultScenario|FaultGate|Watchdog|Reclaim|TraceCorrupt|AtomicFile|ServiceRace|ServicePump|ServiceFrontEnd|ShardHash|ShardMailbox|ArrivalTrace|SubmissionQueue|TenantLedger|Adversary|Credit|Feedback|DemandCorrector|Cluster' \
       --output-on-failure -j "$(nproc)" )
 fi
 

@@ -20,11 +20,6 @@ ClusterScheduler::ClusterScheduler(ClusterConfig config,
                                    PlacementPolicy policy)
     : config_(config), policy_(policy) {
   RDA_CHECK(config_.nodes >= 1);
-  // One fleet-wide ledger: every node gate audits into it, so a tenant's
-  // honesty follows it across nodes instead of resetting on each spill.
-  config_.gate.tenant_ledger = config_.tenant_ledger != nullptr
-                                   ? config_.tenant_ledger
-                                   : config_.gate.tenant_ledger;
   for (int n = 0; n < config_.nodes; ++n) {
     engines_.push_back(std::make_unique<sim::Engine>(config_.node));
     if (config_.use_gate) {
@@ -341,15 +336,7 @@ int ClusterScheduler::add_process(
     TenantId tenant) {
   RDA_CHECK_MSG(!ran_, "cannot add processes after run()");
   RDA_CHECK(!thread_programs.empty());
-  DemandVector demand_vec = process_demand_vector(thread_programs);
-  if (config_.tenant_ledger != nullptr && tenant != kNoTenant) {
-    // Place by the ledger's learned truth, not the tenant's claim: audited
-    // inflators shrink toward their measured footprint (freeing headroom for
-    // honest tenants), audited under-declarers grow toward theirs (so the
-    // fit check stops packing them onto nodes they will thrash).
-    demand_vec[static_cast<std::size_t>(ResourceKind::kLLC)] *=
-        config_.tenant_ledger->demand_correction(tenant);
-  }
+  const DemandVector demand_vec = process_demand_vector(thread_programs);
   const double demand =
       demand_vec[static_cast<std::size_t>(ResourceKind::kLLC)];
 

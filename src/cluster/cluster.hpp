@@ -71,12 +71,6 @@ struct ClusterConfig {
   int node_fail_threshold = 3;
   /// Node-health event sink (kNodeDown / kNodeUp; non-owning, nullptr off).
   obs::TraceSink* trace_sink = nullptr;
-  /// Fleet-wide tenant-truth ledger (non-owning; nullptr = off). Forwarded
-  /// into every node gate so audits from all nodes feed one honesty score,
-  /// and consulted at placement: a tenant's declared LLC demand is scaled by
-  /// its learned correction before choosing a node, so a chronic inflator
-  /// stops reserving whole nodes it will never fill.
-  core::TenantLedger* tenant_ledger = nullptr;
 };
 
 struct ClusterResult {

@@ -192,14 +192,6 @@ AdmitTicket AdmissionCore::slow_admit_locked(AdmitRequest request, double now,
     if (config_.feedback.enable) {
       primary.amount *= corrector_.correction(request.label);
     }
-    // Tenant-truth haircut: a tenant past the ledger's rung 1 is charged
-    // its audited usage ratio — an inflator pays what it uses, an
-    // under-declarer what it takes. Per-tenant intent on top of the
-    // per-label corrector above.
-    if (config_.tenant_ledger != nullptr) {
-      primary.amount *= config_.tenant_ledger->demand_correction(
-          static_cast<std::uint64_t>(request.process));
-    }
     if (config_.partitioning.enable &&
         primary.amount > resources_.capacity(ResourceKind::kLLC)) {
       ticket.occupancy_cap = config_.partitioning.streaming_fraction *
@@ -414,30 +406,19 @@ ReleaseTicket AdmissionCore::slow_release(PeriodId id,
       observed.peak_occupancy *= fired->factor;
     }
   }
-  if (observed.has_counters &&
-      (config_.feedback.enable || config_.tenant_ledger != nullptr)) {
+  if (observed.has_counters && config_.feedback.enable) {
     // A reaped or reclaimed period may already be gone (end_period below
     // rejects unknown ids itself); a vanished record simply has no
-    // declaration left to audit.
+    // declaration left to learn from.
     const PeriodRecord* active = monitor_.registry().find(id);
     if (active != nullptr) {
-      if (config_.feedback.enable) {
-        corrector_.observe(active->label, active->declared_demand,
-                           observed.peak_occupancy, observed.cache_contended);
-        if (observed.has_bandwidth && active->declared_bandwidth > 0.0) {
-          corrector_.observe(active->label, ResourceKind::kMemBandwidth,
-                             active->declared_bandwidth,
-                             observed.peak_bandwidth,
-                             observed.bandwidth_contended);
-        }
-      }
-      // Tenant-truth audit: the same counter evidence the corrector
-      // consumes, judged per TENANT (the process identity), not per label.
-      if (config_.tenant_ledger != nullptr) {
-        config_.tenant_ledger->audit(
-            static_cast<std::uint64_t>(active->process),
-            active->declared_demand, observed.peak_occupancy,
-            observed.cache_contended, now);
+      corrector_.observe(active->label, active->declared_demand,
+                         observed.peak_occupancy, observed.cache_contended);
+      if (observed.has_bandwidth && active->declared_bandwidth > 0.0) {
+        corrector_.observe(active->label, ResourceKind::kMemBandwidth,
+                           active->declared_bandwidth,
+                           observed.peak_bandwidth,
+                           observed.bandwidth_contended);
       }
     }
   }

@@ -52,7 +52,6 @@
 
 #include "core/feedback.hpp"
 #include "core/policy.hpp"
-#include "core/tenant_ledger.hpp"
 #include "core/predicate.hpp"
 #include "core/progress_monitor.hpp"
 #include "core/resource_monitor.hpp"
@@ -111,13 +110,6 @@ struct AdmissionConfig {
   /// (the corrector is serial state).
   FeedbackOptions feedback{};
   MonitorOptions monitor{};
-  /// Tenant-truth enforcement tier (non-owning; nullptr = off). When set,
-  /// every completed period with counters is audited against its tenant's
-  /// declaration (request.process is the tenant identity) and admissions
-  /// from haircut-rung tenants are charged the audited usage ratio instead
-  /// of the declared demand. Forces every call through the slow lane — the
-  /// ledger is serial state, like the corrector.
-  TenantLedger* tenant_ledger = nullptr;
   /// Admission-lifecycle event sink (non-owning; nullptr = tracing off).
   obs::TraceSink* trace_sink = nullptr;
   /// Fault injection (non-owning; nullptr = off). The core itself consults
@@ -351,7 +343,7 @@ class AdmissionCore {
   /// seq_cst atomics.
   bool calm() const {
     return combiner_calm_ && config_.fault_injector == nullptr &&
-           !config_.feedback.enable && config_.tenant_ledger == nullptr &&
+           !config_.feedback.enable &&
            monitor_.waitlist().size() == 0 &&
            monitor_.disabled_pool_count() == 0;
   }

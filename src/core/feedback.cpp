@@ -31,15 +31,9 @@ void DemandCorrector::observe(const std::string& label, ResourceKind kind,
   ++observations_;
   State& state = states_[label][static_cast<std::size_t>(kind)];
   ++state.samples;
-  const double ratio = observed_peak / declared_demand;
-  if (contended) {
-    // The peak is only a lower bound: allow it to GROW the correction (the
-    // period demonstrably used more than believed) but never shrink it.
-    state.ratio = std::max(state.ratio, ratio);
-  } else {
-    // Decayed running max: shrinks only under repeated uncontended evidence.
-    state.ratio = std::max(ratio, state.ratio * options_.decay);
-  }
+  // A contended peak is only a lower bound on what the period would use.
+  state.ratio = update_usage_ratio(state.ratio, observed_peak / declared_demand,
+                                   options_.decay, contended);
 }
 
 }  // namespace rda::core

@@ -11,7 +11,8 @@
 // instances of the same period — identified by its label, i.e. its static
 // code location, which the paper argues is the stable key — are charged a
 // corrected demand. Over-declaring code stops wasting capacity;
-// under-declaring code stops thrashing its neighbours.
+// under-declaring code stops thrashing its neighbours. The ratio update
+// is update_usage_ratio below, the one rule TenantLedger also runs.
 //
 // Vector demands (PR 8) made declarations multi-resource, so correction
 // state is kept per (label, resource kind): a loop that over-declares its
@@ -21,6 +22,7 @@
 // site and trace bit-identical.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <string>
@@ -29,6 +31,20 @@
 #include "common/types.hpp"
 
 namespace rda::core {
+
+/// The one usage-ratio rule behind both demand estimators — DemandCorrector
+/// (per label, here) and TenantLedger (per tenant): the decayed running max
+/// of observed/declared. Shrinking a demand is only safe once several
+/// consecutive observations confirm the period really uses less than
+/// declared, so the state relaxes by `decay` per observation. A
+/// `lower_bound` observation (the resource was saturated, so the peak may
+/// understate the period's appetite) may only grow the value. Each caller
+/// decides what counts as a lower bound and keeps its own clamps and gating.
+inline double update_usage_ratio(double current, double observed_ratio,
+                                 double decay, bool lower_bound) {
+  return lower_bound ? std::max(current, observed_ratio)
+                     : std::max(observed_ratio, current * decay);
+}
 
 struct FeedbackOptions {
   bool enable = false;

@@ -19,7 +19,6 @@ AdmissionConfig to_core_config(double llc_capacity_bytes,
   config.partitioning = options.partitioning;
   config.feedback = options.feedback;
   config.monitor = options.monitor;
-  config.tenant_ledger = options.tenant_ledger;
   config.trace_sink = options.trace_sink;
   config.fault_injector = options.fault_injector;
   return config;

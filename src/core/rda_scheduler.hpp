@@ -45,9 +45,6 @@ struct RdaOptions {
   /// per-period hardware counters.
   FeedbackOptions feedback{};
   MonitorOptions monitor{};
-  /// Tenant-truth enforcement tier (non-owning; nullptr = off). Shared
-  /// across gates so a fleet audits each tenant once, fleet-wide.
-  TenantLedger* tenant_ledger = nullptr;
   /// Admission-lifecycle event sink (non-owning; nullptr = tracing off).
   obs::TraceSink* trace_sink = nullptr;
   /// Fault injection (non-owning; nullptr = off). Forwarded to the core,

@@ -357,7 +357,9 @@ ReconcileReport reconcile_waits(std::span<const Event> events,
         if (it != block_time.end()) {
           ++resolved;
           if (e.kind == EventKind::kCancel) ++cancelled;
-          event_wait_total += e.time - it->second;
+          // Clamped like WaitHistogram::add: a wake stamped on another
+          // thread's clock can precede its own block by a few ns.
+          event_wait_total += std::max(e.time - it->second, 0.0);
           block_time.erase(it);
         }
         break;

@@ -48,9 +48,9 @@ ServiceFrontEnd::ServiceFrontEnd(ServiceConfig config)
                                          : config_.nodes;
   true_outstanding_.assign(static_cast<std::size_t>(config_.nodes), 0.0);
   if (config_.enforce) {
-    core::TenantLedgerOptions opts = config_.ledger;
+    TenantLedgerOptions opts = config_.ledger;
     if (opts.trace_sink == nullptr) opts.trace_sink = config_.trace_sink;
-    ledger_ = std::make_unique<core::TenantLedger>(opts);
+    ledger_ = std::make_unique<TenantLedger>(opts);
   }
   shards_.resize(static_cast<std::size_t>(num_shards_));
   cores_.reserve(static_cast<std::size_t>(config_.nodes));
@@ -130,6 +130,9 @@ void ServiceFrontEnd::enqueue(const Sub& sub, double at) {
 
 void ServiceFrontEnd::mailbox_requeue(const Sub& sub, int from_node,
                                       double at) {
+  ++stats_.enqueued;
+  trace_service(obs::EventKind::kEnqueue, at, sub.seq, sub.tenant,
+                sub.demand);
   const int to = shard_for_tenant(sub.tenant);
   shards_[static_cast<std::size_t>(to)].inbox.send(requeue_seq_++, sub);
   const int from = shard_of_node(from_node, num_shards_);
@@ -137,6 +140,23 @@ void ServiceFrontEnd::mailbox_requeue(const Sub& sub, int from_node,
   ++stats_.mailboxed;
   trace_service(obs::EventKind::kMailbox, at, sub.seq, sub.tenant,
                 sub.demand);
+}
+
+std::optional<ServiceFrontEnd::Sub> ServiceFrontEnd::withdraw_parked(
+    std::uint64_t key, double now) {
+  const auto it = parked_.find(key);
+  if (it == parked_.end()) return std::nullopt;
+  const Parked parked = it->second;
+  const core::PeriodId period = key & ((std::uint64_t{1} << 56) - 1);
+  const core::WithdrawResult result =
+      cores_[static_cast<std::size_t>(parked.node)]->try_withdraw(period, now);
+  RDA_CHECK_MSG(result == core::WithdrawResult::kCancelled,
+                "parked period raced its own wake");
+  // By key: the withdrawal may have delivered wakes that edited parked_.
+  parked_.erase(key);
+  --parked_depth_[static_cast<std::size_t>(parked.node)];
+  if (ledger_ != nullptr) --tenant_open_[parked.sub.tenant];
+  return parked.sub;
 }
 
 int ServiceFrontEnd::least_loaded() const {
@@ -331,7 +351,7 @@ double ServiceFrontEnd::true_occupancy(const Sub& sub) const {
 
 void ServiceFrontEnd::apply_audits() {
   if (ledger_ == nullptr) return;
-  std::vector<core::AuditRecord> merged;
+  std::vector<AuditRecord> merged;
   for (DrainShard& shard : shards_) {
     merged.insert(merged.end(), shard.audit_slice.begin(),
                   shard.audit_slice.end());
@@ -499,7 +519,7 @@ void ServiceFrontEnd::release_due(double now) {
         // Capture the audit into this node's shard slice, stamped with the
         // global completion-settle order (which is already K-invariant);
         // apply_audits() merges the slices back into that order.
-        core::AuditRecord audit;
+        AuditRecord audit;
         audit.audit_seq = audit_seq_++;
         audit.tenant = flight.sub.tenant;
         audit.declared = flight.sub.demand;
@@ -544,24 +564,11 @@ void ServiceFrontEnd::apply_fault(double now) {
       // An earlier withdrawal can unblock the dying node's waitlist and
       // wake (admit) a later parked period; it lands in in_flight_ and the
       // reap loop below re-queues it instead.
-      const auto parked_it = parked_.find(key);
-      if (parked_it == parked_.end()) continue;
-      const Parked parked = parked_it->second;
-      const core::PeriodId period = key & ((std::uint64_t{1} << 56) - 1);
-      const core::WithdrawResult result =
-          cores_[n]->try_withdraw(period, now);
-      RDA_CHECK_MSG(result == core::WithdrawResult::kCancelled,
-                    "parked period raced its own node death");
-      parked_.erase(key);
-      --parked_depth_[n];
-      if (ledger_ != nullptr) --tenant_open_[parked.sub.tenant];
+      std::optional<Sub> sub = withdraw_parked(key, now);
+      if (!sub) continue;
       ++stats_.reroutes;
-      Sub sub = parked.sub;
-      sub.enqueue_time = now;
-      ++stats_.enqueued;
-      trace_service(obs::EventKind::kEnqueue, now, sub.seq, sub.tenant,
-                    sub.demand);
-      mailbox_requeue(sub, fault.node, now);
+      sub->enqueue_time = now;
+      mailbox_requeue(*sub, fault.node, now);
     }
 
     // Reap every admitted period the node was carrying and re-queue it;
@@ -587,9 +594,6 @@ void ServiceFrontEnd::apply_fault(double now) {
       ++stats_.reroutes;
       Sub sub = flight.sub;
       sub.enqueue_time = now;
-      ++stats_.enqueued;
-      trace_service(obs::EventKind::kEnqueue, now, sub.seq, sub.tenant,
-                    sub.demand);
       mailbox_requeue(sub, fault.node, now);
     }
 
@@ -673,24 +677,12 @@ void ServiceFrontEnd::steal_pass(double now) {
   for (const std::uint64_t key : keys) {
     // Withdrawing an earlier victim can unblock the donor's waitlist and
     // wake (admit) a later one mid-batch; a woken period stays home.
-    const auto it = parked_.find(key);
-    if (it == parked_.end()) continue;
-    const Parked parked = it->second;
-    const core::PeriodId period = key & ((std::uint64_t{1} << 56) - 1);
-    const core::WithdrawResult result =
-        cores_[static_cast<std::size_t>(donor)]->try_withdraw(period, now);
-    RDA_CHECK_MSG(result == core::WithdrawResult::kCancelled,
-                  "stolen period raced its own wake");
-    parked_.erase(key);
-    --parked_depth_[static_cast<std::size_t>(donor)];
-    if (ledger_ != nullptr) --tenant_open_[parked.sub.tenant];
+    const std::optional<Sub> sub = withdraw_parked(key, now);
+    if (!sub) continue;
     // Stolen work keeps its original enqueue time: its admission latency
     // reflects the whole wait, not a reset clock.
     ++moved;
-    ++stats_.enqueued;
-    trace_service(obs::EventKind::kEnqueue, now, parked.sub.seq,
-                  parked.sub.tenant, parked.sub.demand);
-    mailbox_requeue(parked.sub, donor, now);
+    mailbox_requeue(*sub, donor, now);
   }
   if (moved == 0) return;
   tenant_home_[victim] = thief;

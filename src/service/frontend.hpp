@@ -55,17 +55,18 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <queue>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "core/admission.hpp"
-#include "core/tenant_ledger.hpp"
 #include "obs/histogram.hpp"
 #include "obs/sink.hpp"
 #include "service/arrival.hpp"
 #include "service/shard.hpp"
+#include "service/tenant_ledger.hpp"
 #include "util/rng.hpp"
 
 namespace rda::service {
@@ -159,7 +160,7 @@ struct ServiceConfig {
   /// default so pre-existing runs (and the committed BENCH baselines) stay
   /// byte-identical.
   bool enforce = false;
-  core::TenantLedgerOptions ledger{};
+  TenantLedgerOptions ledger{};
   /// Occupancy model for the audit path: a completed period reports
   /// min(its TRUE working set, node LLC) as observed peak (true demand 0 =
   /// the declaration was truthful). Also arms the thrash model — a period
@@ -346,15 +347,20 @@ class ServiceFrontEnd {
     /// Audits captured by this shard's nodes since the last drain pass,
     /// each stamped with a GLOBAL completion-order seq; apply_audits()
     /// merges the slices by seq so ledger state is K-invariant.
-    std::vector<core::AuditRecord> audit_slice;
+    std::vector<AuditRecord> audit_slice;
   };
 
   static std::uint64_t flight_key(int node, core::PeriodId period);
 
   void enqueue(const Sub& sub, double at);
-  /// Posts a displaced submission (steal or node-death reroute) to its
-  /// tenant's drain shard, stamped with the next global seniority number.
+  /// Re-enqueues a displaced submission (steal or node-death reroute):
+  /// counts and traces the kEnqueue, then posts it to its tenant's drain
+  /// shard stamped with the next global seniority number.
   void mailbox_requeue(const Sub& sub, int from_node, double at);
+  /// Withdraws a parked period from its node and drops it from the parked
+  /// books. Returns its submission, or nullopt when an earlier withdrawal
+  /// already woke (admitted) it.
+  std::optional<Sub> withdraw_parked(std::uint64_t key, double now);
   void trace_service(obs::EventKind kind, double at, std::uint64_t seq,
                      std::uint64_t tenant, double demand);
   /// Routes one shaped submission; returns the chosen node (always an up
@@ -443,7 +449,7 @@ class ServiceFrontEnd {
   bool fault_done_ = false;
 
   /// Enforcement state (null / empty unless config_.enforce).
-  std::unique_ptr<core::TenantLedger> ledger_;
+  std::unique_ptr<TenantLedger> ledger_;
   std::uint64_t audit_seq_ = 0;  ///< global completion-order audit stamp
   /// Open (admitted + parked) submissions per tenant — the rung-4 quota
   /// denominator. Displaced work (reroute/steal) leaves the count while

@@ -378,35 +378,5 @@ TEST(ClusterLocality, NodeDeathRehomesTenantsKeepingBatchesWhole) {
   EXPECT_EQ(result.processes_per_node[1], 3);
 }
 
-// The fleet-wide TenantLedger (DESIGN §17) plugs into placement: a haircut
-// tenant's declared LLC demand is rescaled by its audited usage ratio
-// before the node is chosen, so an inflator stops hoarding placement
-// capacity it never touches.
-TEST(Cluster, TenantLedgerHaircutScalesPlacementDemand) {
-  core::TenantLedger ledger;
-  // Tenant 5 declares 4x what it uses, repeatedly and uncontended; enough
-  // audits for the decayed-max ratio to converge to the true 0.25.
-  for (int i = 0; i < 20; ++i) {
-    ledger.audit(5, 100.0, 25.0, false, static_cast<double>(i));
-  }
-  ASSERT_GE(ledger.rung(5), 1);
-  ASSERT_DOUBLE_EQ(ledger.demand_correction(5), 0.25);
-
-  ClusterConfig cfg = two_nodes();
-  cfg.tenant_ledger = &ledger;
-  ClusterScheduler sched(cfg, PlacementPolicy::kLeastDeclaredLoad);
-  sched.add_process(one_thread_process(12), false, 5);
-  double placed = 0.0;
-  for (const double d : sched.placed_demand()) placed += d;
-  EXPECT_NEAR(placed, static_cast<double>(MB(3)), 1.0);
-
-  // An honest (unknown) tenant's declaration is taken at face value.
-  ClusterScheduler honest(cfg, PlacementPolicy::kLeastDeclaredLoad);
-  honest.add_process(one_thread_process(12), false, 6);
-  double honest_placed = 0.0;
-  for (const double d : honest.placed_demand()) honest_placed += d;
-  EXPECT_NEAR(honest_placed, static_cast<double>(MB(12)), 1.0);
-}
-
 }  // namespace
 }  // namespace rda::cluster

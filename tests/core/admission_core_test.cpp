@@ -125,22 +125,16 @@ TEST(AdmissionCore, FastPathTicketMarksTheCalmLane) {
 }
 
 TEST(AdmissionCore, FastPathTicketFalseWhenSerialStateIsAttached) {
-  // Counter feedback and the tenant ledger are serial state: every call
-  // takes the slow lane, so no ticket reports the calm lane.
-  AdmissionConfig feedback;
-  feedback.llc_capacity_bytes = mb(16);
-  feedback.feedback.enable = true;
-  TenantLedger ledger;
-  AdmissionConfig ledgered;
-  ledgered.llc_capacity_bytes = mb(16);
-  ledgered.tenant_ledger = &ledger;
-  for (const AdmissionConfig& config : {feedback, ledgered}) {
-    AdmissionCore core(config);
-    const AdmitTicket t = core.admit(request(1, mb(4)), 0.0);
-    ASSERT_TRUE(t.admitted);
-    EXPECT_FALSE(t.fast_path);
-    EXPECT_FALSE(core.release(t.id, {}, 1.0).fast_path);
-  }
+  // Counter feedback is serial state: every call takes the slow lane, so
+  // no ticket reports the calm lane.
+  AdmissionConfig config;
+  config.llc_capacity_bytes = mb(16);
+  config.feedback.enable = true;
+  AdmissionCore core(config);
+  const AdmitTicket t = core.admit(request(1, mb(4)), 0.0);
+  ASSERT_TRUE(t.admitted);
+  EXPECT_FALSE(t.fast_path);
+  EXPECT_FALSE(core.release(t.id, {}, 1.0).fast_path);
 }
 
 TEST(AdmissionCore, PartitioningCapsStreamingDemand) {

@@ -200,6 +200,28 @@ TEST(ObsReconcile, NativeGateWaitsReconcile) {
   EXPECT_EQ(waits.still_blocked, 0u);
 }
 
+// Native-gate threads stamp their own events, so a waker's kWake can carry
+// an earlier timestamp than the waiter's kBlock it resolves. The histogram
+// records that interval as 0; the event-derived total must agree.
+TEST(ObsReconcile, WakeStampedBeforeBlockCountsAsZeroWait) {
+  std::vector<obs::Event> events(2);
+  events[0].time = 1.0;
+  events[0].kind = obs::EventKind::kBlock;
+  events[0].period = 7;
+  events[1].time = 1.0 - 1e-3;
+  events[1].kind = obs::EventKind::kWake;
+  events[1].period = 7;
+  obs::WaitHistogram histogram;
+  histogram.add(events[1].time - events[0].time);
+  obs::WaitStatsCheck gate_side;
+  gate_side.waits = 1;
+  gate_side.slack_seconds = 0.0;
+  const obs::ReconcileReport report =
+      obs::reconcile_waits(events, histogram, gate_side);
+  EXPECT_TRUE(report.ok) << report.message;
+  EXPECT_EQ(report.still_blocked, 0u);
+}
+
 TEST(ObsReconcile, WaitMismatchesAreDetected) {
   TracedGateRun run;
   ASSERT_GT(run.stats_.monitor.blocks, 0u);
