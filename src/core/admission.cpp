@@ -157,18 +157,25 @@ bool AdmissionCore::fast_admit(AdmitRequest& request, double now,
   return true;
 }
 
-AdmitTicket AdmissionCore::slow_admit(AdmitRequest request, double now,
-                                      bool partitioned, double declared,
-                                      double occupancy_cap) {
+template <typename Fn>
+void AdmissionCore::on_slow_lane(Fn&& fn) {
   ProgressMonitor::PendingDelivery pending;
-  AdmitTicket ticket;
   {
     std::lock_guard<std::mutex> lock(slow_mu_);
     ProgressMonitor::WakeBatch batch(monitor_, &pending);
-    ticket = slow_admit_locked(std::move(request), now, partitioned, declared,
-                               occupancy_cap);
+    fn();
   }
   monitor_.deliver(std::move(pending));
+}
+
+AdmitTicket AdmissionCore::slow_admit(AdmitRequest request, double now,
+                                      bool partitioned, double declared,
+                                      double occupancy_cap) {
+  AdmitTicket ticket;
+  on_slow_lane([&] {
+    ticket = slow_admit_locked(std::move(request), now, partitioned, declared,
+                               occupancy_cap);
+  });
   return ticket;
 }
 
@@ -254,41 +261,30 @@ std::vector<AdmitTicket> AdmissionCore::admit_batch(
     leftovers.push_back({i, partitioned, declared});
   }
   if (!leftovers.empty()) {
-    ProgressMonitor::PendingDelivery pending;
-    {
-      std::lock_guard<std::mutex> lock(slow_mu_);
-      ProgressMonitor::WakeBatch batch(monitor_, &pending);
+    on_slow_lane([&] {
       for (const Leftover& l : leftovers) {
         tickets[l.index] =
             slow_admit_locked(std::move(requests[l.index]), now, l.partitioned,
                               l.declared, tickets[l.index].occupancy_cap);
       }
-    }
-    monitor_.deliver(std::move(pending));
+    });
   }
   return tickets;
 }
 
 bool AdmissionCore::withdraw(PeriodId id, double now) {
-  ProgressMonitor::PendingDelivery pending;
   bool cancelled;
-  {
-    std::lock_guard<std::mutex> lock(slow_mu_);
-    ProgressMonitor::WakeBatch batch(monitor_, &pending);
+  on_slow_lane([&] {
     RDA_CHECK_MSG(monitor_.registry().find(id) != nullptr,
                   "withdraw of unknown period id " << id);
     cancelled = monitor_.cancel_waiting(id, now);
-  }
-  monitor_.deliver(std::move(pending));
+  });
   return cancelled;
 }
 
 WithdrawResult AdmissionCore::try_withdraw(PeriodId id, double now) {
-  ProgressMonitor::PendingDelivery pending;
   WithdrawResult result;
-  {
-    std::lock_guard<std::mutex> lock(slow_mu_);
-    ProgressMonitor::WakeBatch batch(monitor_, &pending);
+  on_slow_lane([&] {
     if (monitor_.registry().find(id) == nullptr) {
       result = WithdrawResult::kGone;
     } else if (monitor_.cancel_waiting(id, now)) {
@@ -300,8 +296,7 @@ WithdrawResult AdmissionCore::try_withdraw(PeriodId id, double now) {
                    ? WithdrawResult::kAlreadyAdmitted
                    : WithdrawResult::kGone;
     }
-  }
-  monitor_.deliver(std::move(pending));
+  });
   return result;
 }
 
@@ -334,13 +329,7 @@ ReleaseTicket AdmissionCore::release(PeriodId id,
       // our budget on its own second look — either way somebody rescans.
       if (monitor_.waitlist().size() != 0 ||
           monitor_.disabled_pool_count() != 0) {
-        ProgressMonitor::PendingDelivery pending;
-        {
-          std::lock_guard<std::mutex> lock(slow_mu_);
-          ProgressMonitor::WakeBatch batch(monitor_, &pending);
-          monitor_.rescan_release(now);
-        }
-        monitor_.deliver(std::move(pending));
+        on_slow_lane([&] { monitor_.rescan_release(now); });
       }
       return ticket;
     }
@@ -360,7 +349,6 @@ std::vector<ReleaseTicket> AdmissionCore::release_batch(
     }
     leftovers.push_back(i);
   }
-  ProgressMonitor::PendingDelivery pending;
   if (!leftovers.empty()) {
     // One slow-mutex hold, one rescan, one wake flush for every record the
     // calm lane could not claim. (end_periods rescans after all the budget
@@ -368,91 +356,76 @@ std::vector<ReleaseTicket> AdmissionCore::release_batch(
     std::vector<PeriodId> leftover_ids;
     leftover_ids.reserve(leftovers.size());
     for (const std::size_t i : leftovers) leftover_ids.push_back(ids[i]);
-    std::lock_guard<std::mutex> lock(slow_mu_);
-    ProgressMonitor::WakeBatch batch(monitor_, &pending);
-    std::vector<PeriodRecord> records = monitor_.end_periods(leftover_ids, now);
-    for (std::size_t j = 0; j < leftovers.size(); ++j) {
-      tickets[leftovers[j]].record = std::move(records[j]);
-    }
+    on_slow_lane([&] {
+      std::vector<PeriodRecord> records =
+          monitor_.end_periods(leftover_ids, now);
+      for (std::size_t j = 0; j < leftovers.size(); ++j) {
+        tickets[leftovers[j]].record = std::move(records[j]);
+      }
+    });
   } else if (any_fast && (monitor_.waitlist().size() != 0 ||
                           monitor_.disabled_pool_count() != 0)) {
     // Purely fast batch: the Dekker re-check escalates at most once for the
     // whole batch instead of once per release.
-    std::lock_guard<std::mutex> lock(slow_mu_);
-    ProgressMonitor::WakeBatch batch(monitor_, &pending);
-    monitor_.rescan_release(now);
+    on_slow_lane([&] { monitor_.rescan_release(now); });
   }
-  monitor_.deliver(std::move(pending));
   return tickets;
 }
 
 ReleaseTicket AdmissionCore::slow_release(PeriodId id,
                                           const ReleaseObservation& observed_in,
                                           double now) {
-  ProgressMonitor::PendingDelivery pending;
   ReleaseTicket ticket;
-  {
-  std::lock_guard<std::mutex> lock(slow_mu_);
-  ProgressMonitor::WakeBatch batch(monitor_, &pending);
-  ReleaseObservation observed = observed_in;
-  if (config_.fault_injector != nullptr && observed.has_counters) {
-    const PeriodRecord* active = monitor_.registry().find(id);
-    RDA_CHECK_MSG(active != nullptr, "pp_end with unknown period id " << id);
-    const fault::FaultSpec* fired = config_.fault_injector->consult(
-        fault::Hook::kRelease, active->thread);
-    if (fired != nullptr && fired->kind == fault::FaultKind::kCorruptCounter) {
-      // A garbage counter read: the corrector must stay within its clamp
-      // bounds instead of poisoning future demands.
-      observed.peak_occupancy *= fired->factor;
-    }
-  }
-  if (observed.has_counters && config_.feedback.enable) {
-    // A reaped or reclaimed period may already be gone (end_period below
-    // rejects unknown ids itself); a vanished record simply has no
-    // declaration left to learn from.
-    const PeriodRecord* active = monitor_.registry().find(id);
-    if (active != nullptr) {
-      corrector_.observe(active->label, active->declared_demand,
-                         observed.peak_occupancy, observed.cache_contended);
-      if (observed.has_bandwidth && active->declared_bandwidth > 0.0) {
-        corrector_.observe(active->label, ResourceKind::kMemBandwidth,
-                           active->declared_bandwidth,
-                           observed.peak_bandwidth,
-                           observed.bandwidth_contended);
+  on_slow_lane([&] {
+    ReleaseObservation observed = observed_in;
+    if (config_.fault_injector != nullptr && observed.has_counters) {
+      const PeriodRecord* active = monitor_.registry().find(id);
+      RDA_CHECK_MSG(active != nullptr, "pp_end with unknown period id " << id);
+      const fault::FaultSpec* fired = config_.fault_injector->consult(
+          fault::Hook::kRelease, active->thread);
+      if (fired != nullptr &&
+          fired->kind == fault::FaultKind::kCorruptCounter) {
+        // A garbage counter read: the corrector must stay within its clamp
+        // bounds instead of poisoning future demands.
+        observed.peak_occupancy *= fired->factor;
       }
     }
-  }
-  // end_period itself rejects unknown ids; no pre-lookup needed.
-  ticket.record = monitor_.end_period(id, now);
-  }
-  monitor_.deliver(std::move(pending));
+    if (observed.has_counters && config_.feedback.enable) {
+      // A reaped or reclaimed period may already be gone (end_period below
+      // rejects unknown ids itself); a vanished record simply has no
+      // declaration left to learn from.
+      const PeriodRecord* active = monitor_.registry().find(id);
+      if (active != nullptr) {
+        corrector_.observe(active->label, active->declared_demand,
+                           observed.peak_occupancy, observed.cache_contended);
+        if (observed.has_bandwidth && active->declared_bandwidth > 0.0) {
+          corrector_.observe(active->label, ResourceKind::kMemBandwidth,
+                             active->declared_bandwidth,
+                             observed.peak_bandwidth,
+                             observed.bandwidth_contended);
+        }
+      }
+    }
+    // end_period itself rejects unknown ids; no pre-lookup needed.
+    ticket.record = monitor_.end_period(id, now);
+  });
   return ticket;
 }
 
 ProgressMonitor::ReapOutcome AdmissionCore::reap(sim::ThreadId thread,
                                                  double now,
                                                  bool remember_waiter) {
-  ProgressMonitor::PendingDelivery pending;
   ProgressMonitor::ReapOutcome outcome;
-  {
-    std::lock_guard<std::mutex> lock(slow_mu_);
-    ProgressMonitor::WakeBatch batch(monitor_, &pending);
-    outcome = monitor_.reap_thread(thread, now, remember_waiter);
-  }
-  monitor_.deliver(std::move(pending));
+  on_slow_lane(
+      [&] { outcome = monitor_.reap_thread(thread, now, remember_waiter); });
   return outcome;
 }
 
 std::size_t AdmissionCore::sweep(std::uint64_t max_epoch_age, double now,
                                  bool remember_waiters) {
-  ProgressMonitor::PendingDelivery pending;
   std::size_t reaped;
-  {
-    std::lock_guard<std::mutex> lock(slow_mu_);
-    ProgressMonitor::WakeBatch batch(monitor_, &pending);
-    reaped = monitor_.sweep(max_epoch_age, now, remember_waiters);
-  }
-  monitor_.deliver(std::move(pending));
+  on_slow_lane(
+      [&] { reaped = monitor_.sweep(max_epoch_age, now, remember_waiters); });
   return reaped;
 }
 
@@ -462,26 +435,14 @@ void AdmissionCore::heartbeat(sim::ThreadId thread) {
 }
 
 bool AdmissionCore::watchdog_tick(double now) {
-  ProgressMonitor::PendingDelivery pending;
   bool any;
-  {
-    std::lock_guard<std::mutex> lock(slow_mu_);
-    ProgressMonitor::WakeBatch batch(monitor_, &pending);
-    any = monitor_.watchdog_tick(now);
-  }
-  monitor_.deliver(std::move(pending));
+  on_slow_lane([&] { any = monitor_.watchdog_tick(now); });
   return any;
 }
 
 bool AdmissionCore::watchdog_stalled(double now) {
-  ProgressMonitor::PendingDelivery pending;
   bool any;
-  {
-    std::lock_guard<std::mutex> lock(slow_mu_);
-    ProgressMonitor::WakeBatch batch(monitor_, &pending);
-    any = monitor_.watchdog_stalled(now);
-  }
-  monitor_.deliver(std::move(pending));
+  on_slow_lane([&] { any = monitor_.watchdog_stalled(now); });
   return any;
 }
 

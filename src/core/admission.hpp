@@ -358,8 +358,15 @@ class AdmissionCore {
   /// impossible here; caller falls through to the slow lane.
   bool fast_admit(AdmitRequest& request, double now, bool partitioned,
                   double declared, AdmitTicket& ticket);
-  AdmitTicket slow_admit(AdmitRequest request, double now, bool partitioned,
-                         double declared, double occupancy_cap);
+  /// Runs `fn` under slow_mu_ inside a redirected WakeBatch, then delivers
+  /// the wakes and evictions it captured after the mutex is released.
+  template <typename Fn>
+  void on_slow_lane(Fn&& fn);
+  /// Kept out of line: inlined into admit(), it enlarged the calm lane's
+  /// path and cost gate_calm ~8 % p50 on a 4-vCPU x86-64 host.
+  [[gnu::noinline]] AdmitTicket slow_admit(AdmitRequest request, double now,
+                                           bool partitioned, double declared,
+                                           double occupancy_cap);
   /// slow_admit body; caller holds slow_mu_ inside an open WakeBatch.
   AdmitTicket slow_admit_locked(AdmitRequest request, double now,
                                 bool partitioned, double declared,

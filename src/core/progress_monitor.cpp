@@ -549,8 +549,7 @@ std::vector<sim::ThreadId> ProgressMonitor::rejected_threads() const {
   return out;
 }
 
-PeriodRecord ProgressMonitor::end_period(PeriodId id, double now) {
-  WakeBatch batch(*this);
+PeriodRecord ProgressMonitor::discharge(PeriodId id, double now) {
   ++stats_.ends;
   PeriodRecord record = registry_.remove(id);
   RDA_CHECK_MSG(record.admitted,
@@ -564,6 +563,12 @@ PeriodRecord ProgressMonitor::end_period(PeriodId id, double now) {
       resources_->remove_oversubscribed(d.resource, d.amount);
     }
   }
+  return record;
+}
+
+PeriodRecord ProgressMonitor::end_period(PeriodId id, double now) {
+  WakeBatch batch(*this);
+  PeriodRecord record = discharge(id, now);
   rescan(now);
   return record;
 }
@@ -573,22 +578,7 @@ std::vector<PeriodRecord> ProgressMonitor::end_periods(
   WakeBatch batch(*this);
   std::vector<PeriodRecord> records;
   records.reserve(ids.size());
-  for (const PeriodId id : ids) {
-    ++stats_.ends;
-    PeriodRecord record = registry_.remove(id);
-    RDA_CHECK_MSG(record.admitted,
-                  "pp_end on period " << id
-                                      << " that was never admitted (still "
-                                         "waitlisted?)");
-    trace(obs::EventKind::kEnd, now, record);
-    for (const ResourceDemand& d : record.demands) {
-      resources_->decrement_load(d.resource, d.amount, record.stripe);
-      if (record.oversub) {
-        resources_->remove_oversubscribed(d.resource, d.amount);
-      }
-    }
-    records.push_back(std::move(record));
-  }
+  for (const PeriodId id : ids) records.push_back(discharge(id, now));
   rescan(now);
   return records;
 }

@@ -327,6 +327,9 @@ class ProgressMonitor {
 
  private:
   void admit(PeriodId id);  ///< bookkeeping common to every admission
+  /// Removes one admitted period and returns its budget (the shared body
+  /// of end_period and end_periods); the caller rescans afterwards.
+  PeriodRecord discharge(PeriodId id, double now);
   void wake_entry(const Waitlist::Entry& entry, double now,
                   bool notify = true);
   void flush_batch();

@@ -105,6 +105,7 @@ AdmissionGate::AdmissionGate(GateConfig config)
               if (fired != nullptr) {
                 if (fired->kind == fault::FaultKind::kLostWake) {
                   lost_wakes_.fetch_add(1, std::memory_order_relaxed);
+                  dropped_[token] = g.period;
                   continue;
                 }
                 if (fired->kind == fault::FaultKind::kDelayedWake) {
@@ -176,6 +177,7 @@ std::optional<core::PeriodId> AdmissionGate::begin_impl(
     // Anything present now predates the period this begin creates.
     granted_.erase(tid);
     evicted_.erase(tid);
+    dropped_.erase(tid);
     const auto it = groups_.find(tid);
     if (it != groups_.end()) request.process = it->second;
   }
@@ -316,11 +318,11 @@ AdmissionGate::WaitOutcome AdmissionGate::hardened_wait(
     if (core_.take_reclaimed(id)) {
       return {std::nullopt, "waitlisted period was reclaimed"};
     }
-    if (core_.is_admitted(id)) {
-      // Admitted core-side but no grant arrived (injected loss, or the
-      // delivery is still in flight): consume the admission directly. A
-      // grant that lands later is scrubbed by the next begin and can never
-      // match a newer period's id.
+    if (core_.is_admitted(id) && take_dropped(tid, id)) {
+      // Admitted core-side and the injector dropped the grant: consume the
+      // admission directly. Admitted with no drop on record means the
+      // delivery is still in flight; its grant pings cv_ and the next pass
+      // takes it from granted_.
       recovered_wakes_.fetch_add(1, std::memory_order_relaxed);
       return {id, nullptr};
     }
@@ -377,6 +379,14 @@ AdmissionGate::WaitOutcome AdmissionGate::hardened_wait(
   }
 }
 
+bool AdmissionGate::take_dropped(std::uint32_t tid, core::PeriodId id) {
+  std::lock_guard<std::mutex> lock(wait_mu_);
+  const auto d = dropped_.find(tid);
+  if (d == dropped_.end() || d->second != id) return false;
+  dropped_.erase(d);
+  return true;
+}
+
 void AdmissionGate::consume_grant(std::uint32_t tid, core::PeriodId id) {
   // try_withdraw said kAlreadyAdmitted, but the grant's DELIVERY (our batch
   // waker filling granted_) happens after the admitting thread drops the
@@ -388,9 +398,19 @@ void AdmissionGate::consume_grant(std::uint32_t tid, core::PeriodId id) {
     return g != granted_.end() && g->second == id;
   };
   if (config_.fault_injector != nullptr) {
-    // The notification itself may have been injected away (lost wake) — do
-    // not insist; a late delivery is scrubbed by the next begin.
-    if (!cv_.wait_for(lock, std::chrono::milliseconds(50), arrived)) {
+    // The notification itself may have been injected away (lost wake). A
+    // drop does not ping, so do not insist: a delivery still in flight
+    // after the wait is scrubbed by the next begin.
+    const auto dropped = [&] {
+      const auto d = dropped_.find(tid);
+      return d != dropped_.end() && d->second == id;
+    };
+    if (!cv_.wait_for(lock, std::chrono::milliseconds(50),
+                      [&] { return arrived() || dropped(); })) {
+      return;
+    }
+    if (dropped()) {
+      dropped_.erase(tid);
       recovered_wakes_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
@@ -482,6 +502,7 @@ void AdmissionGate::reap_thread(std::uint32_t thread_id) {
   {
     std::lock_guard<std::mutex> lock(wait_mu_);
     granted_.erase(thread_id);
+    dropped_.erase(thread_id);
     groups_.erase(thread_id);
   }
   // Freed capacity already woke its admissions via the waker; this ping is

@@ -228,6 +228,9 @@ class AdmissionGate {
   /// reported kAlreadyAdmitted, so it cannot linger and satisfy the
   /// thread's NEXT begin.
   void consume_grant(std::uint32_t tid, core::PeriodId id);
+  /// Erases and reports the injector's drop of `id`'s grant to `tid`, if
+  /// one is on record. Takes wait_mu_.
+  bool take_dropped(std::uint32_t tid, core::PeriodId id);
 
   bool hardened() const {
     return config_.fault_injector != nullptr ||
@@ -244,16 +247,20 @@ class AdmissionGate {
   GateConfig config_;
   core::AdmissionCore core_;
 
-  /// Wait-channel lock. Guards granted_, evicted_, groups_ and nothing
-  /// else. NEVER held across a core_ call: the core's delivery callbacks
-  /// (batch waker, evict notifier) take it, so a core call made with it
-  /// held would self-deadlock when the operation delivers.
+  /// Wait-channel lock. Guards granted_, dropped_, evicted_, groups_ and
+  /// nothing else. NEVER held across a core_ call: the core's delivery
+  /// callbacks (batch waker, evict notifier) take it, so a core call made
+  /// with it held would self-deadlock when the operation delivers.
   mutable std::mutex wait_mu_;
   std::condition_variable cv_;
   /// thread token -> period granted to it. Consumed (erased) by the owner;
   /// an entry whose period doesn't match the owner's current wait is stale
   /// (late delivery after a timeout-recovery) and is ignored/overwritten.
   std::unordered_map<std::uint32_t, core::PeriodId> granted_;
+  /// thread token -> period whose grant the fault injector dropped (a lost
+  /// wake). Only a waiter that finds its own drop here counts a recovered
+  /// wake; an admitted waiter without one is ahead of its delivery.
+  std::unordered_map<std::uint32_t, core::PeriodId> dropped_;
   /// thread token -> (period, reason) for waiters evicted without a grant.
   std::unordered_map<std::uint32_t,
                      std::pair<core::PeriodId, const char*>>

@@ -1,14 +1,8 @@
 #include "service/arrival.hpp"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <numbers>
-#include <sstream>
-#include <utility>
 
-#include "util/atomic_file.hpp"
 #include "util/check.hpp"
 
 namespace rda::service {
@@ -34,6 +28,20 @@ std::string_view to_string(AdversaryKind kind) {
 
 namespace {
 
+/// kDiurnal: one "day" lasts this long; the rate swings ±amplitude around
+/// the mean. The amplitude stays below 1 so λ(t) never goes negative.
+constexpr double kDiurnalPeriodSeconds = 1.0;
+constexpr double kDiurnalAmplitude = 0.8;
+/// kBursty: the ON-state rate is this multiple of the OFF-state rate; the
+/// process spends kBurstFraction of its time ON, in episodes lasting
+/// kBurstMeanSeconds on average.
+constexpr double kBurstMultiplier = 8.0;
+constexpr double kBurstFraction = 0.125;
+constexpr double kBurstMeanSeconds = 0.02;
+static_assert(kDiurnalAmplitude >= 0.0 && kDiurnalAmplitude < 1.0);
+static_assert(kBurstFraction > 0.0 && kBurstFraction < 1.0);
+static_assert(kBurstMultiplier >= 1.0);
+
 /// Exponential gap with mean 1/rate. 1 - u is in (0, 1], so the log is
 /// finite and the gap strictly positive.
 double exponential_gap(util::Rng& rng, double rate) {
@@ -46,13 +54,6 @@ ArrivalGenerator::ArrivalGenerator(ArrivalConfig config)
     : config_(config), rng_(config.seed) {
   RDA_CHECK_MSG(config_.rate > 0.0, "arrival rate must be positive");
   RDA_CHECK_MSG(config_.tenants >= 1, "need at least one tenant");
-  RDA_CHECK_MSG(config_.diurnal_amplitude >= 0.0 &&
-                    config_.diurnal_amplitude < 1.0,
-                "diurnal amplitude must be in [0, 1)");
-  RDA_CHECK_MSG(config_.burst_fraction > 0.0 && config_.burst_fraction < 1.0,
-                "burst fraction must be in (0, 1)");
-  RDA_CHECK_MSG(config_.burst_multiplier >= 1.0,
-                "burst multiplier must be >= 1");
   RDA_CHECK_MSG(config_.adversary.factor > 0.0,
                 "adversary factor must be positive");
   RDA_CHECK_MSG(config_.adversary.churn_pieces >= 1,
@@ -67,15 +68,14 @@ double ArrivalGenerator::next_gap() {
       // Thinning (Lewis & Shedler): propose at the peak rate, accept a
       // proposal at t with probability λ(t)/λ_max. Rejected proposals
       // advance time, so the accepted stream follows λ(t) exactly.
-      const double peak = config_.rate * (1.0 + config_.diurnal_amplitude);
+      const double peak = config_.rate * (1.0 + kDiurnalAmplitude);
       double t = time_;
       for (;;) {
         t += exponential_gap(rng_, peak);
-        const double phase = 2.0 * std::numbers::pi * t /
-                             config_.diurnal_period_seconds;
+        const double phase =
+            2.0 * std::numbers::pi * t / kDiurnalPeriodSeconds;
         const double lambda =
-            config_.rate *
-            (1.0 + config_.diurnal_amplitude * std::sin(phase));
+            config_.rate * (1.0 + kDiurnalAmplitude * std::sin(phase));
         if (rng_.next_double() * peak < lambda) return t - time_;
       }
     }
@@ -83,11 +83,11 @@ double ArrivalGenerator::next_gap() {
       // Two-state MMPP with the long-run mean pinned to config_.rate:
       //   rate = f·on + (1-f)·off   with   on = m·off
       // ⇒ off = rate / (f·m + 1 - f).
-      const double f = config_.burst_fraction;
-      const double m = config_.burst_multiplier;
+      constexpr double f = kBurstFraction;
+      constexpr double m = kBurstMultiplier;
       const double off_rate = config_.rate / (f * m + 1.0 - f);
       const double on_rate = m * off_rate;
-      const double on_hold = config_.burst_mean_seconds;
+      constexpr double on_hold = kBurstMeanSeconds;
       const double off_hold = on_hold * (1.0 - f) / f;
       double t = time_;
       for (;;) {
@@ -133,13 +133,6 @@ Arrival ArrivalGenerator::next() {
   a.demand_bytes = jitter(config_.demand_mean_bytes, config_.demand_spread);
   a.service_seconds =
       jitter(config_.service_mean_seconds, config_.service_spread);
-  if (config_.bw_mean_bytes_per_sec > 0.0) {
-    a.bw_bytes_per_sec =
-        jitter(config_.bw_mean_bytes_per_sec, config_.bw_spread);
-  }
-  if (config_.watts_mean > 0.0) {
-    a.watts = jitter(config_.watts_mean, config_.watts_spread);
-  }
 
   // Adversary overlay: transforms the already-drawn arrival, so RNG
   // consumption — and every honest tenant's sub-stream — is untouched.
@@ -165,103 +158,6 @@ Arrival ArrivalGenerator::next() {
     }
   }
   return a;
-}
-
-namespace {
-
-constexpr char kTraceHeader[] =
-    "time,seq,tenant,demand_bytes,service_seconds,bw_bytes_per_sec,watts,"
-    "true_demand_bytes";
-/// Pre-adversary captures lack the true_demand column; they replay with
-/// true_demand = 0 (every declaration truthful) — bit-identical behavior.
-constexpr char kLegacyTraceHeader[] =
-    "time,seq,tenant,demand_bytes,service_seconds,bw_bytes_per_sec,watts";
-
-}  // namespace
-
-TraceArrivals::TraceArrivals(std::vector<Arrival> arrivals)
-    : arrivals_(std::move(arrivals)) {
-  double last = 0.0;
-  for (const Arrival& a : arrivals_) {
-    RDA_CHECK_MSG(a.time >= last, "arrival trace times must be monotonic");
-    last = a.time;
-  }
-}
-
-TraceArrivals TraceArrivals::from_csv(const std::string& path) {
-  std::ifstream in(path);
-  RDA_CHECK_MSG(in.good(), "cannot open arrival trace: " + path);
-  std::string line;
-  RDA_CHECK_MSG(static_cast<bool>(std::getline(in, line)),
-                "arrival trace is empty: " + path);
-  const bool legacy = line == kLegacyTraceHeader;
-  RDA_CHECK_MSG(legacy || line == kTraceHeader,
-                "arrival trace header mismatch in " + path + ": " + line);
-
-  std::vector<Arrival> arrivals;
-  std::size_t row = 1;
-  while (std::getline(in, line)) {
-    ++row;
-    if (line.empty()) continue;
-    const char* p = line.c_str();
-    const auto field = [&](double& out) {
-      char* end = nullptr;
-      out = std::strtod(p, &end);
-      RDA_CHECK_MSG(end != p, "bad number in arrival trace " + path +
-                                  " row " + std::to_string(row));
-      p = *end == ',' ? end + 1 : end;
-    };
-    Arrival a;
-    double seq = 0.0;
-    double tenant = 0.0;
-    field(a.time);
-    field(seq);
-    field(tenant);
-    field(a.demand_bytes);
-    field(a.service_seconds);
-    field(a.bw_bytes_per_sec);
-    field(a.watts);
-    if (!legacy) field(a.true_demand_bytes);
-    a.seq = static_cast<std::uint64_t>(seq);
-    a.tenant = static_cast<std::uint64_t>(tenant);
-    RDA_CHECK_MSG(a.tenant >= 1, "arrival trace tenant ids are 1-based (" +
-                                     path + " row " + std::to_string(row) +
-                                     ")");
-    arrivals.push_back(a);
-  }
-  return TraceArrivals(std::move(arrivals));
-}
-
-Arrival TraceArrivals::next() {
-  RDA_CHECK_MSG(cursor_ < arrivals_.size(),
-                "arrival trace exhausted: replay asked for more arrivals "
-                "than were recorded");
-  return arrivals_[cursor_++];
-}
-
-std::vector<Arrival> record_arrivals(ArrivalSource& source,
-                                     std::uint64_t count) {
-  std::vector<Arrival> out;
-  out.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) out.push_back(source.next());
-  return out;
-}
-
-void write_arrival_trace_csv(const std::string& path,
-                             std::span<const Arrival> arrivals) {
-  std::ostringstream os;
-  os << kTraceHeader << "\n";
-  char buf[256];
-  for (const Arrival& a : arrivals) {
-    std::snprintf(buf, sizeof(buf),
-                  "%.17g,%llu,%llu,%.17g,%.17g,%.17g,%.17g,%.17g\n", a.time,
-                  static_cast<unsigned long long>(a.seq),
-                  static_cast<unsigned long long>(a.tenant), a.demand_bytes,
-                  a.service_seconds, a.bw_bytes_per_sec, a.watts,
-                  a.true_demand_bytes);
-    os << buf;
-  }
-  util::write_file_atomic(path, os.str());
 }
 
 }  // namespace rda::service

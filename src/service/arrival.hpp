@@ -11,24 +11,19 @@
 //
 // Three arrival shapes, per the evaluation matrix:
 //   * Poisson  — homogeneous rate λ (exponential inter-arrival gaps),
-//   * diurnal  — nonhomogeneous λ(t) = λ·(1 + A·sin(2πt/T)) via thinning
-//                (the classic day/night load swing, compressed to T),
-//   * bursty   — two-state MMPP: an ON state at λ·burst multiplier and a
-//                quiet OFF state, with exponential state holding times.
-//
-// Beyond the synthetic shapes, `TraceArrivals` replays a recorded
-// (t, tenant, demand, service, bw, watts) tuple stream from a CSV file —
-// so a production capture (or a recorded synthetic run) is a reproducible
-// input: record once with `record_arrivals` + `write_arrival_trace_csv`,
-// replay forever, bit-for-bit.
+//   * diurnal  — nonhomogeneous λ(t) = λ·(1 + 0.8·sin(2πt/1 s)) via
+//                thinning (the classic day/night load swing, compressed
+//                to one second),
+//   * bursty   — two-state MMPP: an ON state at 8× the OFF-state rate,
+//                ON 1/8 of the time in 20 ms episodes on average, with
+//                exponential state holding times.
+// Every shape preserves the configured mean rate, so shapes are compared
+// at equal offered load.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <span>
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "util/rng.hpp"
 
@@ -78,8 +73,6 @@ struct Arrival {
   std::uint64_t tenant = 1;      ///< 1-based tenant id (locality key)
   double demand_bytes = 0.0;     ///< declared LLC working set
   double service_seconds = 0.0;  ///< base service time once admitted
-  double bw_bytes_per_sec = 0.0; ///< declared DRAM bandwidth (0 = none)
-  double watts = 0.0;            ///< declared package power (0 = none)
   /// Working set the request will ACTUALLY touch; 0 = the declaration is
   /// truthful. Only adversarial streams set it — it is what the service
   /// layer's occupancy model reports to the audit path.
@@ -88,9 +81,7 @@ struct Arrival {
 
 struct ArrivalConfig {
   ArrivalShape shape = ArrivalShape::kPoisson;
-  /// Long-run mean arrival rate (arrivals/second) for every shape — the
-  /// diurnal and bursty modulations preserve this mean, so shapes are
-  /// compared at equal offered load.
+  /// Long-run mean arrival rate (arrivals/second) for every shape.
   double rate = 20000.0;
   std::uint64_t seed = 1;
 
@@ -106,34 +97,14 @@ struct ArrivalConfig {
   double service_mean_seconds = 2.0e-3;
   double service_spread = 0.5;
 
-  /// Multi-resource demands, same uniform jitter. A zero mean means the
-  /// stream declares none of that resource AND draws nothing from the RNG
-  /// for it, so pre-existing (LLC-only) streams stay bit-identical.
-  double bw_mean_bytes_per_sec = 0.0;
-  double bw_spread = 0.5;
-  double watts_mean = 0.0;
-  double watts_spread = 0.5;
-
-  /// kDiurnal: one "day" lasts this long; rate swings ±amplitude around
-  /// the mean. amplitude must stay < 1 so λ(t) never goes negative.
-  double diurnal_period_seconds = 1.0;
-  double diurnal_amplitude = 0.8;
-
-  /// kBursty: ON-state rate is `burst_multiplier`× the OFF-state rate;
-  /// the process spends `burst_fraction` of its time ON; ON episodes last
-  /// `burst_mean_seconds` on average (exponential holding times).
-  double burst_multiplier = 8.0;
-  double burst_fraction = 0.125;
-  double burst_mean_seconds = 0.02;
-
   /// Adversarial-tenant overlay (kNone = every tenant honest; the stream
   /// is then bit-identical to the pre-adversary generator).
   AdversaryConfig adversary{};
 };
 
-/// Anything that can feed the front end one arrival at a time: the seeded
-/// synthetic generators and recorded-trace replay share this face, so the
-/// service layer cannot tell a live stream from a replayed capture.
+/// Anything that can feed the front end one arrival at a time. The seeded
+/// generator is the one source here; a wrapper (one that times each call,
+/// say) can stand in for it without the service layer noticing.
 class ArrivalSource {
  public:
   virtual ~ArrivalSource() = default;
@@ -164,36 +135,5 @@ class ArrivalGenerator final : public ArrivalSource {
   /// stream's seq stays dense and monotonic).
   std::deque<Arrival> pending_;
 };
-
-/// Replays a pre-recorded arrival stream. next() past the end is a check
-/// failure — a replayed run must ask for exactly what was recorded.
-class TraceArrivals final : public ArrivalSource {
- public:
-  explicit TraceArrivals(std::vector<Arrival> arrivals);
-
-  /// Loads a trace written by write_arrival_trace_csv (or any CSV with its
-  /// header). Malformed rows and non-monotonic times are check failures —
-  /// a corrupt trace must not silently replay as a different workload.
-  static TraceArrivals from_csv(const std::string& path);
-
-  Arrival next() override;
-
-  std::size_t size() const { return arrivals_.size(); }
-  std::size_t remaining() const { return arrivals_.size() - cursor_; }
-
- private:
-  std::vector<Arrival> arrivals_;
-  std::size_t cursor_ = 0;
-};
-
-/// Captures the next `count` arrivals of any source into a vector (the
-/// recording half of the round trip).
-std::vector<Arrival> record_arrivals(ArrivalSource& source,
-                                     std::uint64_t count);
-
-/// Writes a trace CSV (atomic tempfile+rename). Doubles are printed with
-/// %.17g, so from_csv reproduces the recorded stream bit-for-bit.
-void write_arrival_trace_csv(const std::string& path,
-                             std::span<const Arrival> arrivals);
 
 }  // namespace rda::service

@@ -11,9 +11,29 @@ namespace rda::service {
 
 namespace {
 
-constexpr std::size_t idx(ResourceKind kind) {
-  return static_cast<std::size_t>(kind);
-}
+/// Virtual time between drain passes.
+constexpr double kDrainIntervalSeconds = 1.0e-3;
+/// Weight of each new sample in the ladder's backlog and latency EWMAs.
+constexpr double kEwmaAlpha = 0.25;
+/// Rung 1 caps a demand at this fraction of the node LLC, and the clamped
+/// period runs kClampPenalty× slower.
+constexpr double kClampFraction = 0.5;
+constexpr double kClampPenalty = 1.25;
+/// Rung 2 divides every demand by the paper's Compromise x; the period
+/// runs kThrashPenalty× slower (as does any period admitted onto a node
+/// whose TRUE load exceeds its LLC, under model_true_occupancy).
+constexpr double kOversubscription = 2.0;
+constexpr double kThrashPenalty = 1.5;
+/// A period placed on its tenant's home node runs warm, this much faster.
+constexpr double kWarmServiceFactor = 0.6;
+/// Bounded home affinity (kLocalityAware only): a period whose home is up
+/// parks on the home's waitlist while fewer than this many periods are
+/// parked there, since it will run warm once capacity frees. Beyond the
+/// limit it spills cold to a node that can admit it now, if one exists
+/// (the home does NOT move), capping the latency a hot tenant pays for
+/// warmth. With the whole fleet saturated it parks at home regardless,
+/// since waiting warm beats waiting cold.
+constexpr std::size_t kHomeParkLimit = 2;
 
 }  // namespace
 
@@ -21,7 +41,6 @@ std::string_view to_string(RoutePolicy policy) {
   switch (policy) {
     case RoutePolicy::kLocalityAware: return "locality-aware";
     case RoutePolicy::kRandom: return "random";
-    case RoutePolicy::kLeastLoaded: return "least-loaded";
   }
   return "?";
 }
@@ -31,16 +50,11 @@ ServiceFrontEnd::ServiceFrontEnd(ServiceConfig config)
       rng_(config.seed),
       node_up_(static_cast<std::size_t>(config.nodes), true),
       outstanding_(static_cast<std::size_t>(config.nodes), 0.0),
-      outstanding_vec_(static_cast<std::size_t>(config.nodes)),
       in_flight_count_(static_cast<std::size_t>(config.nodes), 0),
       parked_depth_(static_cast<std::size_t>(config.nodes), 0) {
   RDA_CHECK_MSG(config_.nodes >= 1, "service needs at least one node");
   RDA_CHECK_MSG(config_.drain_shards >= 0,
                 "drain shard count cannot be negative");
-  RDA_CHECK_MSG(config_.drain_interval_seconds > 0.0,
-                "drain interval must be positive");
-  RDA_CHECK_MSG(config_.oversubscription >= 1.0,
-                "oversubscription factor must be >= 1");
   RDA_CHECK_MSG(config_.shed_keep_fraction >= 0.0 &&
                     config_.shed_keep_fraction < 1.0,
                 "shed keep fraction must be in [0, 1)");
@@ -57,8 +71,6 @@ ServiceFrontEnd::ServiceFrontEnd(ServiceConfig config)
   for (int n = 0; n < config_.nodes; ++n) {
     core::AdmissionConfig cc;
     cc.llc_capacity_bytes = config_.node_llc_bytes;
-    cc.bandwidth_capacity = config_.node_bandwidth;
-    cc.energy_capacity_watts = config_.node_energy_watts;
     cc.policy = core::PolicyKind::kStrict;
     cc.trace_sink = config_.trace_sink;
     cores_.push_back(std::make_unique<core::AdmissionCore>(cc));
@@ -186,9 +198,6 @@ int ServiceFrontEnd::route(std::uint64_t tenant, double declared,
       chosen = up[rng_.next_below(up.size())];
       break;
     }
-    case RoutePolicy::kLeastLoaded:
-      chosen = least_loaded();
-      break;
     case RoutePolicy::kLocalityAware: {
       // Prefer the home node, where the tenant's footprint is warm:
       //   1. the home can admit now, or its waitlist is still shallow
@@ -211,7 +220,7 @@ int ServiceFrontEnd::route(std::uint64_t tenant, double declared,
       } else {
         const auto h = static_cast<std::size_t>(home);
         if (outstanding_[h] + declared <= config_.node_llc_bytes ||
-            parked_depth_[h] < config_.home_park_limit) {
+            parked_depth_[h] < kHomeParkLimit) {
           chosen = home;
           warm = true;
         } else {
@@ -237,8 +246,8 @@ int ServiceFrontEnd::route(std::uint64_t tenant, double declared,
     // the first placement, a steal, or a node death moves the home.
     tenant_home_.emplace(tenant, chosen);
   } else {
-    // Under kRandom / kLeastLoaded a placement that happens to land on the
-    // tenant's previous node is warm too — warmth is discovered there, not
+    // Under kRandom a placement that happens to land on the tenant's
+    // previous node is warm too — warmth is discovered there, not
     // engineered — and the home follows the latest placement.
     const auto it = tenant_home_.find(tenant);
     warm = it != tenant_home_.end() && it->second == chosen;
@@ -247,100 +256,37 @@ int ServiceFrontEnd::route(std::uint64_t tenant, double declared,
   return chosen;
 }
 
-double ServiceFrontEnd::node_capacity(ResourceKind kind) const {
-  switch (kind) {
-    case ResourceKind::kLLC: return config_.node_llc_bytes;
-    case ResourceKind::kMemBandwidth: return config_.node_bandwidth;
-    case ResourceKind::kEnergyBudget: return config_.node_energy_watts;
-    default: return 0.0;
-  }
-}
-
-ServiceFrontEnd::DemandVector ServiceFrontEnd::shape_demand(
-    const Sub& sub, double& penalty, bool& clamped,
-    bool& oversubscribed) const {
+double ServiceFrontEnd::shape_demand(const Sub& sub, double& penalty,
+                                     bool& clamped,
+                                     bool& oversubscribed) const {
   clamped = false;
   oversubscribed = false;
-  DemandVector shaped{};
-  // Safety clamp per component: a demand larger than the node capacity can
-  // never be admitted by the strict predicate; cap it like watchdog rung 1
-  // would. Resources the nodes do not gate are dropped here, so an ungated
-  // fleet ignores bw/watts declarations entirely.
-  shaped[idx(ResourceKind::kLLC)] =
-      std::min(sub.demand, config_.node_llc_bytes);
-  if (config_.node_bandwidth > 0.0) {
-    shaped[idx(ResourceKind::kMemBandwidth)] =
-        std::min(sub.bw, config_.node_bandwidth);
-  }
-  if (config_.node_energy_watts > 0.0) {
-    shaped[idx(ResourceKind::kEnergyBudget)] =
-        std::min(sub.watts, config_.node_energy_watts);
-  }
+  // Safety clamp: a demand larger than the node can never be admitted by
+  // the strict predicate; cap it like watchdog rung 1 would.
+  double shaped = std::min(sub.demand, config_.node_llc_bytes);
   if (rung_ >= 1) {
-    // Clamp the DOMINANT resource: the component consuming the largest
-    // fraction of its node capacity is the one keeping this submission out,
-    // whichever resource that is. (LLC-only demands make this exactly the
-    // old LLC clamp.)
-    std::size_t dom = idx(ResourceKind::kLLC);
-    double dom_frac =
-        shaped[dom] / config_.node_llc_bytes;
-    for (std::size_t k = 0; k < kNumResourceKinds; ++k) {
-      const double cap = node_capacity(static_cast<ResourceKind>(k));
-      if (cap <= 0.0) continue;
-      const double frac = shaped[k] / cap;
-      if (frac > dom_frac) {
-        dom = k;
-        dom_frac = frac;
-      }
-    }
-    const double cap =
-        config_.clamp_fraction * node_capacity(static_cast<ResourceKind>(dom));
-    if (shaped[dom] > cap) {
-      shaped[dom] = cap;
+    const double cap = kClampFraction * config_.node_llc_bytes;
+    if (shaped > cap) {
+      shaped = cap;
       clamped = true;
-      penalty *= config_.clamp_penalty;
+      penalty *= kClampPenalty;
     }
   }
   if (rung_ >= 2) {
-    // Thrash rung: under-declare EVERY component — the node is past the
-    // point where precise accounting helps, trade fidelity for throughput.
-    for (double& component : shaped) component /= config_.oversubscription;
+    // Thrash rung: the node is past the point where precise accounting
+    // helps; trade fidelity for throughput.
+    shaped /= kOversubscription;
     oversubscribed = true;
-    penalty *= config_.thrash_penalty;
+    penalty *= kThrashPenalty;
   }
   return shaped;
 }
 
-std::vector<core::ResourceDemand> ServiceFrontEnd::to_demands(
-    const DemandVector& declared) const {
-  std::vector<core::ResourceDemand> demands;
-  demands.push_back(
-      {ResourceKind::kLLC, declared[idx(ResourceKind::kLLC)]});
-  if (config_.node_bandwidth > 0.0 &&
-      declared[idx(ResourceKind::kMemBandwidth)] > 0.0) {
-    demands.push_back({ResourceKind::kMemBandwidth,
-                       declared[idx(ResourceKind::kMemBandwidth)]});
-  }
-  if (config_.node_energy_watts > 0.0 &&
-      declared[idx(ResourceKind::kEnergyBudget)] > 0.0) {
-    demands.push_back({ResourceKind::kEnergyBudget,
-                       declared[idx(ResourceKind::kEnergyBudget)]});
-  }
-  return demands;
-}
-
-void ServiceFrontEnd::charge_outstanding(int node,
-                                         const DemandVector& declared,
+void ServiceFrontEnd::charge_outstanding(int node, double declared,
                                          double sign) {
-  const auto n = static_cast<std::size_t>(node);
-  outstanding_[n] += sign * declared[idx(ResourceKind::kLLC)];
-  DemandVector& vec = outstanding_vec_[n];
-  for (std::size_t k = 0; k < kNumResourceKinds; ++k) {
-    vec[k] += sign * declared[k];
-    if (sign > 0.0) {
-      peak_outstanding_[k] = std::max(peak_outstanding_[k], vec[k]);
-    }
-  }
+  double& outstanding = outstanding_[static_cast<std::size_t>(node)];
+  outstanding += sign * declared;
+  if (sign > 0.0) peak_outstanding_ = std::max(peak_outstanding_, outstanding);
 }
 
 double ServiceFrontEnd::true_occupancy(const Sub& sub) const {
@@ -363,8 +309,7 @@ void ServiceFrontEnd::apply_audits() {
   ledger_->apply(merged);
 }
 
-bool ServiceFrontEnd::enforce_ledger(const Sub& sub,
-                                     DemandVector& declared) {
+bool ServiceFrontEnd::enforce_ledger(const Sub& sub, double& llc) {
   // Rung 4: hard quota on open submissions. Shedding (not parking) the
   // excess keeps the drain loop live — a parked-forever quota victim would
   // wedge quiescence — and the ledger invariants intact (the shed is
@@ -376,7 +321,6 @@ bool ServiceFrontEnd::enforce_ledger(const Sub& sub,
   }
 
   // Rung 1+: haircut — admission charges the audited truth, not the claim.
-  double& llc = declared[idx(ResourceKind::kLLC)];
   const double correction = ledger_->demand_correction(sub.tenant);
   if (correction != 1.0) {
     llc = std::min(llc * correction, config_.node_llc_bytes);
@@ -411,14 +355,12 @@ bool ServiceFrontEnd::enforce_ledger(const Sub& sub,
 }
 
 void ServiceFrontEnd::record_admission(const Sub& sub, int node,
-                                       core::PeriodId period,
-                                       const DemandVector& declared,
+                                       core::PeriodId period, double declared,
                                        double penalty, bool warm,
                                        bool from_wake) {
   const double latency = std::max(0.0, now_ - sub.enqueue_time);
   latency_.add(latency);
-  const double alpha = config_.ladder.ewma_alpha;
-  latency_ewma_ = alpha * latency + (1.0 - alpha) * latency_ewma_;
+  latency_ewma_ = kEwmaAlpha * latency + (1.0 - kEwmaAlpha) * latency_ewma_;
   ++stats_.admitted;
   if (from_wake) ++stats_.woken;
   TenantSummary& row = tenant_rows_[sub.tenant];
@@ -433,9 +375,7 @@ void ServiceFrontEnd::record_admission(const Sub& sub, int node,
     // with or without enforcement.
     double& true_load = true_outstanding_[static_cast<std::size_t>(node)];
     true_load += true_occupancy(sub);
-    if (true_load > config_.node_llc_bytes) {
-      penalty *= config_.thrash_penalty;
-    }
+    if (true_load > config_.node_llc_bytes) penalty *= kThrashPenalty;
   }
 
   const std::uint64_t key = flight_key(node, period);
@@ -448,8 +388,7 @@ void ServiceFrontEnd::record_admission(const Sub& sub, int node,
   charge_outstanding(node, declared, +1.0);
   ++in_flight_count_[static_cast<std::size_t>(node)];
 
-  const double factor =
-      penalty * (warm ? config_.warm_service_factor : 1.0);
+  const double factor = penalty * (warm ? kWarmServiceFactor : 1.0);
   const double done_at = now_ + sub.service * factor;
   completions_.push(Completion{done_at, key});
   fold_checksum(sub.seq, (static_cast<std::uint64_t>(node) << 32) ^
@@ -819,7 +758,7 @@ void ServiceFrontEnd::drain_pass(double now) {
   struct NodeBatch {
     std::vector<core::AdmitRequest> requests;
     std::vector<const Sub*> subs;
-    std::vector<DemandVector> declared;
+    std::vector<double> declared;
     std::vector<double> penalties;
     std::vector<bool> warm;
   };
@@ -828,8 +767,7 @@ void ServiceFrontEnd::drain_pass(double now) {
     double penalty = 1.0;
     bool clamped = false;
     bool oversubscribed = false;
-    DemandVector declared =
-        shape_demand(sub, penalty, clamped, oversubscribed);
+    double declared = shape_demand(sub, penalty, clamped, oversubscribed);
     if (clamped) ++stats_.clamped;
     if (oversubscribed) ++stats_.oversubscribed;
     if (ledger_ != nullptr && !enforce_ledger(sub, declared)) {
@@ -844,13 +782,12 @@ void ServiceFrontEnd::drain_pass(double now) {
       continue;
     }
     bool warm = false;
-    const int node =
-        route(sub.tenant, declared[idx(ResourceKind::kLLC)], warm);
+    const int node = route(sub.tenant, declared, warm);
     auto& batch = batches[static_cast<std::size_t>(node)];
     core::AdmitRequest request;
     request.thread = static_cast<sim::ThreadId>(sub.seq);
     request.process = static_cast<sim::ProcessId>(sub.tenant);
-    request.demands = to_demands(declared);
+    request.demands = {{ResourceKind::kLLC, declared}};
     batch.requests.push_back(std::move(request));
     batch.subs.push_back(&sub);
     batch.declared.push_back(declared);
@@ -886,7 +823,7 @@ void ServiceFrontEnd::drain_pass(double now) {
 }
 
 void ServiceFrontEnd::update_ladder() {
-  const double alpha = config_.ladder.ewma_alpha;
+  constexpr double alpha = kEwmaAlpha;
   const auto depth = static_cast<double>(backlog());
   depth_ewma_ = alpha * depth + (1.0 - alpha) * depth_ewma_;
   // Per-shard backlog EWMAs are observability only: the ladder keys off
@@ -932,14 +869,12 @@ ServiceReport ServiceFrontEnd::run(ArrivalSource& arrivals,
   }
 
   while (true) {
-    const double tick_end = now_ + config_.drain_interval_seconds;
+    const double tick_end = now_ + kDrainIntervalSeconds;
     while (have && pending.time <= tick_end) {
       Sub sub;
       sub.seq = pending.seq;
       sub.tenant = pending.tenant;
       sub.demand = pending.demand_bytes;
-      sub.bw = pending.bw_bytes_per_sec;
-      sub.watts = pending.watts;
       sub.service = pending.service_seconds;
       sub.true_demand = pending.true_demand_bytes;
       TenantSummary& row = tenant_rows_[sub.tenant];
@@ -996,9 +931,6 @@ ServiceReport ServiceFrontEnd::run(ArrivalSource& arrivals,
     report.goodput_per_second =
         static_cast<double>(stats_.completed) / report.elapsed_seconds;
     report.work_per_second = completed_work_ / report.elapsed_seconds;
-  }
-  for (std::size_t k = 0; k < kNumResourceKinds; ++k) {
-    report.node_capacity[k] = node_capacity(static_cast<ResourceKind>(k));
   }
   report.peak_outstanding = peak_outstanding_;
   for (const auto& core : cores_) report.admission += core->stats();

@@ -26,23 +26,29 @@
 // per-shard backlog EWMAs exist but are observability-only.
 //
 // Placement is locality-aware: a tenant's periods follow its home node (the
-// one already holding its LLC working set — warm periods run faster by
-// warm_service_factor), parking on the home's waitlist up to
-// home_park_limit deep before spilling cold to the least-loaded node, and
-// falling back to least-loaded when the home is down. Whole-tenant-batch
-// work stealing keeps a rejoined node from idling without shearing any
-// tenant's working set across two LLCs.
+// one already holding its LLC working set — warm periods run in 0.6× the
+// service time), parking on the home's waitlist up to two deep before
+// spilling cold to the least-loaded node, and falling back to least-loaded
+// when the home is down. Whole-tenant-batch work stealing keeps a rejoined
+// node from idling without shearing any tenant's working set across two
+// LLCs.
 //
 // Overload control reuses the degradation-ladder shape of the admission
 // watchdog, keyed off the backlog and admission-latency EWMAs:
 //   rung 0  normal admission,
-//   rung 1  clamp: demands capped to clamp_fraction × node LLC (easier to
-//           admit, at a service-time penalty for the clamped period),
+//   rung 1  clamp: demands capped to half the node LLC (easier to admit,
+//           at a 1.25× service-time penalty for the clamped period),
 //   rung 2  forced oversubscription: declared demand is additionally
-//           divided by the oversubscription factor, packing ~x tenants'
-//           working sets per LLC (every rung-2 period pays the thrash
-//           penalty),
+//           halved (the paper's Compromise x = 2), packing ~2 tenants'
+//           working sets per LLC (every rung-2 period pays the 1.5×
+//           thrash penalty),
 //   rung 3  shed: drained submissions are dropped before admission.
+// The ladder's backlog and latency EWMAs weight each new sample 0.25, and
+// the drain loop ticks every millisecond of virtual time.
+//
+// Demands are LLC bytes only: the node cores gate the LLC, as the paper
+// does. Multi-resource admission stays in the core, for the sim and
+// native gates.
 //
 // The whole simulation is virtual-time and single-threaded: a (config,
 // arrival seed) pair reproduces the run bit-for-bit, which the tier-1
@@ -50,7 +56,6 @@
 // producer threads against one core) lives in service/pump.hpp.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -74,7 +79,6 @@ namespace rda::service {
 enum class RoutePolicy {
   kLocalityAware,  ///< tenant-home placement + whole-batch stealing
   kRandom,         ///< uniform random over up nodes (the strawman)
-  kLeastLoaded,    ///< smallest outstanding declared demand
 };
 
 std::string_view to_string(RoutePolicy policy);
@@ -84,7 +88,6 @@ struct LadderOptions {
   /// this, or the admission-latency EWMA exceeds latency_high_seconds.
   double queue_high = 512.0;
   double latency_high_seconds = 0.050;
-  double ewma_alpha = 0.25;
   /// De-escalation happens when BOTH EWMAs fall below half their
   /// thresholds (hysteresis keeps the ladder from flapping).
 };
@@ -103,48 +106,25 @@ struct ServiceConfig {
   /// Drain shards (K): submissions are routed at push time to shard
   /// shard_of_tenant(seed, tenant, K), each shard owning its own FIFO.
   /// 0 = one shard per node. Byte-determinism holds for ANY K — the
-  /// lockstep merge restores the canonical global order — so K is purely a
-  /// concurrency knob for the wall-clock pump, never a behavior knob.
+  /// lockstep merge restores the canonical global order — so K changes how
+  /// the queue is partitioned, never a decision. (The wall-clock pump has
+  /// its own shard count, PumpConfig::shards.)
   int drain_shards = 0;
   /// Per-node LLC capacity the admission cores gate against.
   double node_llc_bytes = 15360.0 * 1024.0;
-  /// Per-node DRAM bandwidth capacity (bytes/second); 0 = bandwidth is not
-  /// a gated resource (arrivals' bw demands are ignored).
-  double node_bandwidth = 0.0;
-  /// Per-node package power budget (watts); 0 = energy is not gated.
-  double node_energy_watts = 0.0;
   RoutePolicy routing = RoutePolicy::kLocalityAware;
-  double drain_interval_seconds = 1.0e-3;
   std::size_t drain_batch_max = 4096;
   /// Global overflow bound: a push is dropped when this many submissions
   /// are already queued across all shards (mailboxed and parked work does
   /// not count). The only bound on the shard FIFOs.
   std::size_t queue_capacity = 1 << 16;
   LadderOptions ladder{};
-  /// Rung-2 under-declaration factor (the paper's Compromise x).
-  double oversubscription = 2.0;
-  /// Rung-1 demand cap as a fraction of node LLC capacity.
-  double clamp_fraction = 0.5;
   /// Rung-3 SLO-aware shedding: keep the floor(fraction × batch) drained
   /// submissions carrying the MOST declared work (demand × service time)
   /// and shed the cheap tail — under overload the expensive admissions are
   /// the ones goodput cannot afford to rebuild. 0 = shed the whole batch
   /// (the old drop-all behavior, kept as the regression baseline).
   double shed_keep_fraction = 0.25;
-  /// Bounded home affinity (kLocalityAware only): a period whose home is
-  /// up parks on the home's waitlist as long as fewer than this many
-  /// periods are already parked there — it will run warm once capacity
-  /// frees. Beyond the limit it spills cold to a node that can admit it
-  /// immediately, if one exists (the home does NOT move), capping the
-  /// latency a hot tenant can pay for warmth; with the whole fleet
-  /// saturated it parks at home regardless, since waiting warm dominates
-  /// waiting cold.
-  std::size_t home_park_limit = 2;
-  /// Service-time multipliers: a warm period (placed on its tenant's home
-  /// node) runs faster; clamped and oversubscribed periods run slower.
-  double warm_service_factor = 0.6;
-  double clamp_penalty = 1.25;
-  double thrash_penalty = 1.5;
   /// Seed for the kRandom routing draw (arrivals carry their own seed).
   std::uint64_t seed = 1;
   /// Shared sink for service events AND the node cores' lifecycle events
@@ -164,9 +144,10 @@ struct ServiceConfig {
   /// Occupancy model for the audit path: a completed period reports
   /// min(its TRUE working set, node LLC) as observed peak (true demand 0 =
   /// the declaration was truthful). Also arms the thrash model — a period
-  /// admitted while its node's TRUE placed demand exceeds the LLC runs
-  /// thrash_penalty× slower — so an under-declarer does real damage whether
-  /// or not enforcement is on. Off = audits see declared == observed.
+  /// admitted while its node's TRUE placed demand exceeds the LLC pays
+  /// the 1.5× rung-2 thrash penalty — so an under-declarer does real
+  /// damage whether or not enforcement is on. Off = audits see declared ==
+  /// observed.
   bool model_true_occupancy = false;
 };
 
@@ -245,11 +226,9 @@ struct ServiceReport {
   std::vector<ShardCounters> shards;
   /// Enqueue → admission (immediate or wake) per period.
   obs::LatencyHistogram admission_latency;
-  /// Per-resource capacity a node gates against (0 = ungated) and the peak
-  /// declared demand outstanding on any one node — headroom = capacity −
-  /// peak, reported for bandwidth and energy alongside LLC.
-  std::array<double, kNumResourceKinds> node_capacity{};
-  std::array<double, kNumResourceKinds> peak_outstanding{};
+  /// Peak declared LLC bytes outstanding on any one node; the strict
+  /// per-node bound keeps it at or below node_llc_bytes.
+  double peak_outstanding = 0.0;
   double elapsed_seconds = 0.0;     ///< virtual time of the last completion
   double goodput_per_second = 0.0;  ///< completed periods / elapsed
   double work_per_second = 0.0;     ///< completed base service-sec / elapsed
@@ -273,9 +252,8 @@ class ServiceFrontEnd {
  public:
   explicit ServiceFrontEnd(ServiceConfig config);
 
-  /// Feeds `count` arrivals from `arrivals` (a live generator or a
-  /// replayed trace) through the queue → drain → admit → complete
-  /// lifecycle, then drains to quiescence. One-shot.
+  /// Feeds `count` arrivals from `arrivals` through the queue → drain →
+  /// admit → complete lifecycle, then drains to quiescence. One-shot.
   ServiceReport run(ArrivalSource& arrivals, std::uint64_t count);
 
   // Introspection for tests.
@@ -293,16 +271,11 @@ class ServiceFrontEnd {
   }
 
  private:
-  /// Per-resource declared demand, indexed by ResourceKind.
-  using DemandVector = std::array<double, kNumResourceKinds>;
-
   /// One queued submission (the shard FIFO element).
   struct Sub {
     std::uint64_t seq = 0;
     std::uint64_t tenant = 1;
     double demand = 0.0;  ///< declared LLC bytes
-    double bw = 0.0;      ///< declared DRAM bandwidth (0 = none)
-    double watts = 0.0;   ///< declared package power (0 = none)
     double service = 0.0;
     double enqueue_time = 0.0;
     /// LLC bytes the request actually touches (0 = the declaration is the
@@ -315,7 +288,7 @@ class ServiceFrontEnd {
   struct Parked {
     Sub sub;
     int node = -1;
-    DemandVector declared{};  ///< demand vector as charged to the core
+    double declared = 0.0;  ///< LLC bytes as charged to the core
     double penalty = 1.0;
     bool warm = false;
   };
@@ -325,7 +298,7 @@ class ServiceFrontEnd {
     Sub sub;
     int node = -1;
     sim::ThreadId thread = sim::kInvalidThread;
-    DemandVector declared{};
+    double declared = 0.0;
   };
   struct Completion {
     double time = 0.0;
@@ -367,23 +340,14 @@ class ServiceFrontEnd {
   /// node) and whether the placement is warm (landed on the tenant home).
   int route(std::uint64_t tenant, double declared, bool& warm);
   int least_loaded() const;
-  /// Per-node capacity of one resource kind (0 = ungated).
-  double node_capacity(ResourceKind kind) const;
-  /// Applies the current rung's demand transformation to the submission's
-  /// whole demand vector. Rung 1 clamps the DOMINANT resource — the one
-  /// consuming the largest fraction of its node capacity — instead of
-  /// always the LLC; rung 2 under-declares every component.
-  DemandVector shape_demand(const Sub& sub, double& penalty, bool& clamped,
-                            bool& oversubscribed) const;
-  /// The admit-request demand vector for a shaped submission (only kinds
-  /// the nodes actually gate).
-  std::vector<core::ResourceDemand> to_demands(
-      const DemandVector& declared) const;
-  void charge_outstanding(int node, const DemandVector& declared,
-                          double sign);
+  /// Applies the current rung's transformation to the submission's
+  /// declared LLC bytes: rung 1 clamps, rung 2 under-declares.
+  double shape_demand(const Sub& sub, double& penalty, bool& clamped,
+                      bool& oversubscribed) const;
+  void charge_outstanding(int node, double declared, double sign);
   void record_admission(const Sub& sub, int node, core::PeriodId period,
-                        const DemandVector& declared, double penalty,
-                        bool warm, bool from_wake);
+                        double declared, double penalty, bool warm,
+                        bool from_wake);
   void on_wakes(int node, const std::vector<core::ProgressMonitor::WakeGrant>&
                               grants);
   void release_due(double now);
@@ -400,9 +364,9 @@ class ServiceFrontEnd {
   void apply_audits();
   /// Rung-4 quota + credit-priced burst gate for one drained submission.
   /// Returns false when the submission must be shed (quota exceeded);
-  /// otherwise may clamp the declared LLC component to the fair share
+  /// otherwise may clamp the declared LLC bytes to the fair share
   /// (unfunded burst) and records the credit spend.
-  bool enforce_ledger(const Sub& sub, DemandVector& declared);
+  bool enforce_ledger(const Sub& sub, double& declared);
   std::size_t backlog() const;
   void fold_checksum(std::uint64_t a, std::uint64_t b);
 
@@ -430,9 +394,8 @@ class ServiceFrontEnd {
   double now_ = 0.0;
 
   std::vector<bool> node_up_;
-  std::vector<double> outstanding_;     ///< declared LLC bytes per node
-  std::vector<DemandVector> outstanding_vec_;  ///< per-resource, per node
-  DemandVector peak_outstanding_{};     ///< max over nodes and time
+  std::vector<double> outstanding_;  ///< declared LLC bytes per node
+  double peak_outstanding_ = 0.0;    ///< max over nodes and time
   std::vector<std::uint64_t> in_flight_count_;
   std::vector<std::size_t> parked_depth_;  ///< parked periods per node
   std::unordered_map<std::uint64_t, int> tenant_home_;

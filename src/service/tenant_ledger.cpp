@@ -11,15 +11,9 @@ namespace rda::service {
 
 TenantLedger::TenantLedger(TenantLedgerOptions options)
     : options_(options) {
-  RDA_CHECK(options_.tolerance > 0.0);
-  RDA_CHECK(options_.honesty_decay > 0.0 && options_.honesty_decay < 1.0);
-  RDA_CHECK(options_.ratio_decay > 0.0 && options_.ratio_decay <= 1.0);
   RDA_CHECK(options_.escalate_after >= 1);
   RDA_CHECK(options_.recover_after >= 1);
-  RDA_CHECK(options_.correction_min > 0.0);
-  RDA_CHECK(options_.correction_max >= options_.correction_min);
   RDA_CHECK(options_.credit_unit_bytes > 0.0);
-  RDA_CHECK(options_.surcharge >= 1.0);
 }
 
 void TenantLedger::trace(obs::EventKind kind, double now,
@@ -53,7 +47,7 @@ TenantVerdict TenantLedger::audit_locked(std::uint64_t tenant,
   ++state.audit_count;
 
   const double ratio = std::max(observed, 0.0) / declared;
-  const double band = std::log1p(options_.tolerance);
+  const double band = std::log1p(kTolerance);
   // ratio == 0 means the counters saw nothing resident — treat as maximal
   // inflation rather than feeding log(0) through the band test.
   const bool honest =
@@ -63,8 +57,8 @@ TenantVerdict TenantLedger::audit_locked(std::uint64_t tenant,
   // occupancy, so an apparent over-declaration proves nothing. A contended
   // period that still used at least its declaration is a full measurement.
   const bool lower_bound = contended && ratio < 1.0;
-  state.ratio = core::update_usage_ratio(state.ratio, ratio,
-                                         options_.ratio_decay, lower_bound);
+  state.ratio = core::update_usage_ratio(state.ratio, ratio, kRatioDecay,
+                                         lower_bound);
   if (lower_bound) {
     // Record the audit (the ratio may still GROW toward 1) but touch no
     // streak and no score — this is the recoverability guarantee for
@@ -74,8 +68,8 @@ TenantVerdict TenantLedger::audit_locked(std::uint64_t tenant,
     return verdict;
   }
 
-  state.honesty = options_.honesty_decay * state.honesty +
-                  (1.0 - options_.honesty_decay) * (honest ? 1.0 : 0.0);
+  state.honesty = kHonestyDecay * state.honesty +
+                  (1.0 - kHonestyDecay) * (honest ? 1.0 : 0.0);
   verdict.honest = honest;
 
   if (honest) {
@@ -150,8 +144,7 @@ double TenantLedger::demand_correction(std::uint64_t tenant) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = tenants_.find(tenant);
   if (it == tenants_.end() || it->second.rung < 1) return 1.0;
-  return std::clamp(it->second.ratio, options_.correction_min,
-                    options_.correction_max);
+  return std::clamp(it->second.ratio, kCorrectionMin, kCorrectionMax);
 }
 
 double TenantLedger::honesty(std::uint64_t tenant) const {
@@ -161,13 +154,13 @@ double TenantLedger::honesty(std::uint64_t tenant) const {
 }
 
 double TenantLedger::credit_price(std::uint64_t tenant) const {
-  return rung(tenant) >= 2 ? options_.surcharge : 1.0;
+  return rung(tenant) >= 2 ? kSurcharge : 1.0;
 }
 
 bool TenantLedger::within_quota(std::uint64_t tenant,
                                 std::uint64_t open) const {
   if (rung(tenant) < 4) return true;
-  return open < options_.quota_outstanding;
+  return open < kQuotaOutstanding;
 }
 
 std::uint64_t TenantLedger::spend(std::uint64_t tenant, std::uint64_t want,

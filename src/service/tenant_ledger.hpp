@@ -38,10 +38,10 @@
 //        rung 1  haircut — declared demand is rescaled by the audited
 //                usage ratio (an inflator is charged what it uses; an
 //                under-declarer is charged what it takes),
-//        rung 2  credit surcharge — bursts cost surcharge× the credits,
+//        rung 2  credit surcharge — bursts cost kSurcharge× the credits,
 //        rung 3  deprioritized — the tenant's submissions go to the back
 //                of every admission batch,
-//        rung 4  hard quota — at most quota_outstanding submissions open
+//        rung 4  hard quota — at most kQuotaOutstanding submissions open
 //                (admitted or parked) at once; the excess is shed.
 //      Rungs compose downward: rung 4 also pays the haircut, surcharge,
 //      and deprioritization.
@@ -68,15 +68,6 @@
 namespace rda::service {
 
 struct TenantLedgerOptions {
-  /// Honest band: |log(observed/declared)| <= log(1 + tolerance).
-  double tolerance = 0.30;
-  /// Per-audit EMA weight of the PREVIOUS honesty score (1 − this is the
-  /// weight of the fresh verdict).
-  double honesty_decay = 0.80;
-  /// Decay for the audited usage ratio (update_usage_ratio in
-  /// core/feedback.hpp: the haircut only relaxes under repeated consistent
-  /// evidence).
-  double ratio_decay = 0.90;
   /// Audits required before any penalty can engage — one noisy period must
   /// not brand a tenant.
   std::uint32_t min_audits = 3;
@@ -84,18 +75,11 @@ struct TenantLedgerOptions {
   std::uint32_t escalate_after = 3;
   /// Consecutive honest audits to descend one rung.
   std::uint32_t recover_after = 6;
-  /// Haircut clamp (rung >= 1): declared × clamp(ratio, min, max).
-  double correction_min = 0.10;
-  double correction_max = 8.0;
   /// Bytes of unused honest reservation per credit unit.
   double credit_unit_bytes = 64.0 * 1024.0;
   /// Per-tenant credit balance cap (units); grants truncate here so one
   /// idle tenant cannot bank unbounded burst rights.
   std::uint64_t credit_cap = 1u << 20;
-  /// Rung >= 2: bursts cost this multiple of the base credit price.
-  double surcharge = 4.0;
-  /// Rung 4: max open (admitted + parked) submissions per tenant.
-  std::uint64_t quota_outstanding = 2;
   /// Event sink for kPenalty / kCreditGrant / kCreditSpend (non-owning;
   /// nullptr = tracing off).
   obs::TraceSink* trace_sink = nullptr;
@@ -125,6 +109,23 @@ struct TenantVerdict {
 
 class TenantLedger {
  public:
+  /// Honest band: |log(observed/declared)| <= log(1 + kTolerance).
+  static constexpr double kTolerance = 0.30;
+  /// Per-audit EMA weight of the PREVIOUS honesty score (1 − this is the
+  /// weight of the fresh verdict).
+  static constexpr double kHonestyDecay = 0.80;
+  /// Decay for the audited usage ratio (update_usage_ratio in
+  /// core/feedback.hpp: the haircut only relaxes under repeated consistent
+  /// evidence).
+  static constexpr double kRatioDecay = 0.90;
+  /// Haircut clamp (rung >= 1): declared × clamp(ratio, min, max).
+  static constexpr double kCorrectionMin = 0.10;
+  static constexpr double kCorrectionMax = 8.0;
+  /// Rung >= 2: bursts cost this multiple of the base credit price.
+  static constexpr double kSurcharge = 4.0;
+  /// Rung 4: max open (admitted + parked) submissions per tenant.
+  static constexpr std::uint64_t kQuotaOutstanding = 2;
+
   explicit TenantLedger(TenantLedgerOptions options = {});
 
   TenantLedger(const TenantLedger&) = delete;

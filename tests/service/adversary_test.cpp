@@ -5,7 +5,6 @@
 // counts — the ledger half of the K-invariance contract.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <vector>
 
 #include "obs/reconcile.hpp"
@@ -119,45 +118,6 @@ TEST(Adversary, ChurnSplitsServiceTimeAcrossPiecesAtOneInstant) {
   }
 }
 
-TEST(ArrivalTrace, AdversaryTraceRoundTripsWithTruthColumn) {
-  ArrivalConfig cfg = base_arrivals();
-  cfg.adversary.kind = AdversaryKind::kUnderDeclarer;
-  cfg.adversary.tenant = 1;
-  ArrivalGenerator gen(cfg);
-  const std::vector<Arrival> recorded = record_arrivals(gen, 500);
-
-  const std::string path = testing::TempDir() + "adversary_trace.csv";
-  write_arrival_trace_csv(path, recorded);
-  TraceArrivals replay = TraceArrivals::from_csv(path);
-  for (const Arrival& a : recorded) {
-    const Arrival b = replay.next();
-    EXPECT_EQ(a.time, b.time);
-    EXPECT_EQ(a.demand_bytes, b.demand_bytes);
-    EXPECT_EQ(a.true_demand_bytes, b.true_demand_bytes);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(ArrivalTrace, LegacyHeaderReplaysWithTruthfulDeclarations) {
-  // Pre-adversary captures lack the true_demand column; they must still
-  // load, with every declaration treated as truthful.
-  const std::string path = testing::TempDir() + "legacy_trace.csv";
-  {
-    FILE* f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs(
-        "time,seq,tenant,demand_bytes,service_seconds,bw_bytes_per_sec,"
-        "watts\n0.001,0,1,1048576,0.002,0,0\n0.002,1,2,2097152,0.001,0,0\n",
-        f);
-    std::fclose(f);
-  }
-  TraceArrivals replay = TraceArrivals::from_csv(path);
-  const Arrival a = replay.next();
-  EXPECT_EQ(a.tenant, 1u);
-  EXPECT_EQ(a.true_demand_bytes, 0.0);
-  std::remove(path.c_str());
-}
-
 // --- front-end enforcement --------------------------------------------------
 
 TEST(Adversary, EnforcementIsInertOnAnAllHonestFleet) {
@@ -248,6 +208,27 @@ TEST(Adversary, LedgerStateIsByteIdenticalAcrossShardCounts) {
     EXPECT_EQ(r.stats.credits_granted, base.stats.credits_granted);
     EXPECT_EQ(r.stats.credits_spent, base.stats.credits_spent);
   }
+}
+
+TEST(Adversary, EnforcedInflatorRunIsPinned) {
+  // Golden pin: bursty traffic with one 8x WSS inflator under enforcement.
+  // The checksum pins every admission and completion; the fingerprint pins
+  // the ledger's audit order, streaks, rungs and credit balances.
+  ArrivalConfig arr = base_arrivals();
+  arr.shape = ArrivalShape::kBursty;
+  arr.adversary.kind = AdversaryKind::kWssInflator;
+  arr.adversary.tenant = 1;
+  arr.adversary.factor = 8.0;
+  ArrivalGenerator gen(arr);
+  ServiceFrontEnd service(enforced_service());
+  const ServiceReport report = service.run(gen, 6000);
+
+  EXPECT_GT(report.stats.haircuts, 0u);
+  EXPECT_GT(report.stats.quota_denied, 0u);
+  EXPECT_EQ(report.stats.penalties, 4u);
+  EXPECT_EQ(report.stats.credits_spent, 0u);
+  EXPECT_EQ(report.checksum, 0x5cc680c1d855eb33ull);
+  EXPECT_EQ(report.ledger_fingerprint, 0x468ff0148c5e65e4ull);
 }
 
 TEST(Adversary, PerTenantReconcileRowsSumToTotals) {

@@ -85,12 +85,12 @@ TEST(TenantLedger, InflatorClimbsTheFullLadder) {
   // the decayed running max has converged there by 22 audits).
   EXPECT_NEAR(ledger.demand_correction(1), 0.125, 1e-9);
   // Rung 2+: bursts pay the surcharge.
-  EXPECT_DOUBLE_EQ(ledger.credit_price(1), ledger.options().surcharge);
+  EXPECT_DOUBLE_EQ(ledger.credit_price(1), TenantLedger::kSurcharge);
   // Rung 3+: back of every batch.
   EXPECT_TRUE(ledger.deprioritized(1));
   // Rung 4: hard quota on open submissions.
   EXPECT_TRUE(ledger.within_quota(1, 0));
-  EXPECT_FALSE(ledger.within_quota(1, ledger.options().quota_outstanding));
+  EXPECT_FALSE(ledger.within_quota(1, TenantLedger::kQuotaOutstanding));
   EXPECT_LT(ledger.honesty(1), 0.1);
 }
 
@@ -102,7 +102,7 @@ TEST(TenantLedger, UnderDeclarerIsChargedWhatItTakes) {
   // The haircut clamps at correction_max even for wilder lies.
   audit_n(ledger, 2, 3, 100.0, 100.0 * 1e6);
   EXPECT_DOUBLE_EQ(ledger.demand_correction(2),
-                   ledger.options().correction_max);
+                   TenantLedger::kCorrectionMax);
 }
 
 TEST(TenantLedger, OneNoisyPeriodDoesNotBrandATenant) {
@@ -187,7 +187,8 @@ TEST(TenantLedger, SharesTheCorrectorsRatioRule) {
   EXPECT_DOUBLE_EQ(ledger.demand_correction(5), 2.0);
   // Contended at the declaration: counted, and the ratio decays.
   EXPECT_TRUE(ledger.audit(5, 100.0, 100.0, true, 4.0).counted);
-  EXPECT_DOUBLE_EQ(ledger.demand_correction(5), 2.0 * fast().ratio_decay);
+  EXPECT_DOUBLE_EQ(ledger.demand_correction(5),
+                   2.0 * TenantLedger::kRatioDecay);
 }
 
 TEST(CreditConservation, ExactAcrossGrantsAndSpends) {
