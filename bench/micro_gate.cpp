@@ -11,6 +11,8 @@
 //     withdrawal, never blocks),
 //   * T-thread contended round-trip throughput (within capacity, so the
 //     mutex — not the waitlist — is the bottleneck),
+//   * the sharded core's scaling point: contended throughput at
+//     min(hardware threads, 16) threads, with the thread count used,
 //   * the ratio against the pre-refactor uncontended baseline, captured
 //     on this machine before RdaScheduler/AdmissionGate were rebuilt as
 //     adapters over AdmissionCore. Acceptance gate: within 10% after
@@ -220,17 +222,21 @@ int main(int argc, char** argv) {
   const double vs_baseline = uncontended_ns / kPreRefactorUncontendedNs;
   const double vs_baseline_adj = vs_baseline / machine_factor;
 
-  // Fixed 16-thread point for the sharded-core scaling gate. Only
-  // meaningful with 16 real cores: on smaller hosts the threads time-slice
-  // one another and the number measures the OS scheduler, so it is skipped
-  // (tier1.sh applies the same guard before comparing it).
-  const unsigned cores = std::thread::hardware_concurrency();
-  double contended_mops_16 = 0.0;
-  if (cores >= 16) {
-    const double ns16 =
-        best5([&] { return bench_contended(iters / 8, 16); });
-    contended_mops_16 = 1e3 / ns16;
+  // The sharded core's scaling point: 16 threads, or one per hardware
+  // thread on a smaller host (more would time-slice and measure the OS
+  // scheduler). The thread count is recorded with it; tier1.sh compares
+  // only against a committed point taken at the same count. With every
+  // hardware thread busy the point follows the host's load, so it takes
+  // the best of 15 reps, not 5: on a 4-vCPU VM, five best-of-5 runs
+  // spread ±18 %, five best-of-15 runs ±8 %.
+  const int threads_16 = static_cast<int>(
+      std::clamp(std::thread::hardware_concurrency(), 1u, 16u));
+  double best_ns_16 = 1e18;
+  for (int i = 0; i < 15; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    best_ns_16 = std::min(best_ns_16, bench_contended(iters / 4, threads_16));
   }
+  const double contended_mops_16 = 1e3 / best_ns_16;
 
   std::printf("calibration kernel:    %.1f ns (anchor %.0f ns, machine %.2fx)\n",
               calib_ns, kCalibBaselineNs, machine_factor);
@@ -245,26 +251,10 @@ int main(int argc, char** argv) {
               threads, contended_ns, contended_mops);
   std::printf("%d-thread 3-demand:     %.1f ns/op (%.2f Mops/s aggregate)\n",
               threads, multi_contended_ns, multi_contended_mops);
-  if (cores >= 16) {
-    std::printf("16-thread contended:   %.2f Mops/s aggregate\n",
-                contended_mops_16);
-  } else {
-    std::printf("16-thread contended:   skipped (%u hardware threads)\n",
-                cores);
-  }
+  std::printf("%d-thread contended:    %.2f Mops/s aggregate "
+              "(min(nproc, 16) threads)\n",
+              threads_16, contended_mops_16);
 
-  // A skipped metric names its reason instead of silently reading as a
-  // mysterious null (tier1.sh surfaces the reason when it skips the gate).
-  char mops16[192];
-  if (cores >= 16) {
-    std::snprintf(mops16, sizeof(mops16), "%.3f", contended_mops_16);
-  } else {
-    std::snprintf(mops16, sizeof(mops16),
-                  "null,\n  \"contended_mops_16_skipped\": "
-                  "\"%u hardware threads (<16): the point would measure the "
-                  "OS scheduler, not the gate\"",
-                  cores);
-  }
   char json[1536];
   std::snprintf(json, sizeof(json),
                 "{\n"
@@ -278,7 +268,8 @@ int main(int argc, char** argv) {
                 "  \"contended_ns_per_op\": %.2f,\n"
                 "  \"contended_mops\": %.3f,\n"
                 "  \"multi_contended_mops\": %.3f,\n"
-                "  \"contended_mops_16\": %s,\n"
+                "  \"contended_mops_16\": %.3f,\n"
+                "  \"contended_threads_16\": %d,\n"
                 "  \"pre_refactor_uncontended_ns\": %.1f,\n"
                 "  \"uncontended_vs_baseline\": %.4f,\n"
                 "  \"uncontended_vs_baseline_adj\": %.4f\n"
@@ -286,7 +277,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(iters), threads, calib_ns,
                 machine_factor, uncontended_ns, try_denied_ns,
                 multi_uncontended_ns, contended_ns, contended_mops,
-                multi_contended_mops, mops16, kPreRefactorUncontendedNs,
+                multi_contended_mops, contended_mops_16, threads_16,
+                kPreRefactorUncontendedNs,
                 vs_baseline, vs_baseline_adj);
   try {
     rda::util::write_file_atomic(out_path, json);

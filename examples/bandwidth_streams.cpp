@@ -42,10 +42,10 @@ double run(bool gate_bandwidth) {
       for (int pass = 0; pass < kPassesPerStream; ++pass) {
         core::PeriodId id;
         if (gate_bandwidth) {
-          id = gate.begin_multi(
-              {{ResourceKind::kLLC, static_cast<double>(MB(0.6))},
-               {ResourceKind::kMemBandwidth, 8e9}},
-              ReuseLevel::kLow, "daxpy");
+          const core::ResourceDemand demands[] = {
+              {ResourceKind::kLLC, static_cast<double>(MB(0.6))},
+              {ResourceKind::kMemBandwidth, 8e9}};
+          id = gate.begin_multi(demands, ReuseLevel::kLow, "daxpy");
         } else {
           id = gate.begin(ResourceKind::kLLC, static_cast<double>(MB(0.6)),
                           ReuseLevel::kLow, "daxpy");

@@ -55,57 +55,50 @@ json_field() { sed -n "s/.*\"$2\": \([0-9.]*\),*.*/\1/p" "$1"; }
 fresh_gate="build/bench/BENCH_gate.json"
 fresh_mf="$(json_field "$fresh_gate" machine_factor)"
 base_mf="$(json_field BENCH_gate.json machine_factor)"
-fresh_multi_ns="$(json_field "$fresh_gate" multi_uncontended_ns)"
-base_multi_ns="$(json_field BENCH_gate.json multi_uncontended_ns)"
-fresh_multi_mops="$(json_field "$fresh_gate" multi_contended_mops)"
-base_multi_mops="$(json_field BENCH_gate.json multi_contended_mops)"
-if [[ -z "$base_multi_ns" || -z "$base_multi_mops" ]]; then
-  echo "no committed multi-demand baseline yet; recorded ${fresh_multi_ns} ns," \
-       "${fresh_multi_mops} Mops/s"
-else
-  awk -v fns="$fresh_multi_ns" -v bns="$base_multi_ns" \
-      -v fmops="$fresh_multi_mops" -v bmops="$base_multi_mops" \
+gate_point() {  # name fresh base lower|higher
+  awk -v name="$1" -v f="$2" -v b="$3" -v better="$4" \
       -v fmf="$fresh_mf" -v bmf="$base_mf" 'BEGIN {
-    ns_adj = fns / fmf; ns_base = bns / bmf;
-    mops_adj = fmops * fmf; mops_base = bmops * bmf;
-    printf "multi uncontended: %.1f ns adj (baseline %.1f, ceiling %.1f)\n",
-           ns_adj, ns_base, ns_base * 1.10;
-    printf "multi contended:   %.3f Mops/s adj (baseline %.3f, floor %.3f)\n",
-           mops_adj, mops_base, mops_base * 0.90;
-    exit (ns_adj <= ns_base * 1.10 && mops_adj >= mops_base * 0.90) ? 0 : 1;
+    if (better == "lower") {
+      adj = f / fmf; base = b / bmf; limit = base * 1.10;
+      printf "%s: %.3f adj (baseline %.3f, ceiling %.3f)\n", name, adj, base, limit;
+      exit (adj <= limit) ? 0 : 1;
+    }
+    adj = f * fmf; base = b * bmf; limit = base * 0.90;
+    printf "%s: %.3f adj (baseline %.3f, floor %.3f)\n", name, adj, base, limit;
+    exit (adj >= limit) ? 0 : 1;
   }'
-fi
-
-echo "== tier-1: 16-thread contended admission throughput (sharded core) =="
-# Scaling gate for the sharded AdmissionCore: the fresh 16-thread point must
-# stay within 10% of the committed BENCH_gate.json snapshot. Only meaningful
-# with 16 real cores (micro_gate itself emits null below that, where the
-# number would measure the OS scheduler, not the gate).
-if [[ "$(nproc)" -ge 16 ]]; then
-  fresh_mops16="$(sed -n 's/.*"contended_mops_16": \([0-9.]*\),.*/\1/p' \
-    build/bench/BENCH_gate.json)"
-  committed_mops16="$(sed -n 's/.*"contended_mops_16": \([0-9.]*\),.*/\1/p' \
-    BENCH_gate.json)"
-  if [[ -z "$fresh_mops16" ]]; then
-    echo "error: micro_gate produced no 16-thread point on a >=16-core host"
+}
+for key in multi_uncontended_ns multi_contended_mops; do
+  fresh="$(json_field "$fresh_gate" "$key")"
+  base="$(json_field BENCH_gate.json "$key")"
+  if [[ -z "$fresh" || -z "$base" ]]; then
+    echo "error: $key missing from the fresh or the committed snapshot"
     exit 1
   fi
-  if [[ -z "$committed_mops16" ]]; then
-    echo "no committed 16-thread baseline yet; recorded $fresh_mops16 Mops/s"
-  else
-    awk -v fresh="$fresh_mops16" -v base="$committed_mops16" 'BEGIN {
-      floor = base * 0.9;
-      printf "16-thread contended: %.3f Mops/s (committed %.3f, floor %.3f)\n",
-             fresh, base, floor;
-      exit (fresh >= floor) ? 0 : 1;
-    }'
-  fi
+  better=lower
+  [[ "$key" == *_mops ]] && better=higher
+  gate_point "$key" "$fresh" "$base" "$better"
+done
+
+echo "== tier-1: contended admission throughput at min(nproc, 16) threads =="
+# Scaling gate for the sharded AdmissionCore. micro_gate measures the point
+# at min(nproc, 16) threads and records the count; it is compared only
+# against a committed point taken at the same count (a different count is
+# a different quantity), with the same 10% floor as above.
+fresh_mops16="$(json_field "$fresh_gate" contended_mops_16)"
+fresh_t16="$(json_field "$fresh_gate" contended_threads_16)"
+base_mops16="$(json_field BENCH_gate.json contended_mops_16)"
+base_t16="$(json_field BENCH_gate.json contended_threads_16)"
+if [[ -z "$fresh_mops16" || -z "$fresh_t16" ]]; then
+  echo "error: micro_gate produced no contended_mops_16 point"
+  exit 1
+fi
+if [[ "$fresh_t16" == "$base_t16" && -n "$base_mops16" ]]; then
+  gate_point "contended_mops_16 ($fresh_t16 threads)" "$fresh_mops16" \
+    "$base_mops16" higher
 else
-  # micro_gate emits the same reason into the JSON so a null baseline is
-  # self-describing rather than a mystery.
-  reason="$(sed -n 's/.*"contended_mops_16_skipped": "\([^"]*\)".*/\1/p' \
-    build/bench/BENCH_gate.json)"
-  echo "skipped: ${reason:-$(nproc) hardware threads (<16)}"
+  echo "contended_mops_16: $fresh_mops16 Mops/s at $fresh_t16 threads;" \
+       "the committed point is at ${base_t16:-no} threads, not compared"
 fi
 
 echo "== tier-1: simulation hot-path snapshot (BENCH_sim.json) =="

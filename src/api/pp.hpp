@@ -42,11 +42,13 @@ rt::AdmissionGate& pp_gate();
 /// Begins a multi-resource progress period: every declared {resource,
 /// amount} pair is admitted atomically (all-or-nothing) under the gate's
 /// combining policy. Blocks until admitted. Returns the unique period id.
+/// The demands are copied into the calling thread's recycled buffer, so a
+/// steady-state begin/end pair allocates nothing.
 core::PeriodId pp_begin(std::span<const core::ResourceDemand> demands,
                         ReuseLevel reuse);
 
-/// Single-resource form (the paper's Fig. 4 signature) — forwards to the
-/// span overload with a one-element vector.
+/// Single-resource form (the paper's Fig. 4 signature) — calls the gate's
+/// single-resource begin, which passes the demand the same way.
 core::PeriodId pp_begin(ResourceKind resource, std::uint64_t demand_bytes,
                         ReuseLevel reuse);
 

@@ -83,7 +83,7 @@ bool AdmissionCore::partition_on_entry(ResourceDemand& primary,
   return true;
 }
 
-AdmitTicket AdmissionCore::admit(AdmitRequest request, double now) {
+AdmitTicket AdmissionCore::admit(AdmitRequest&& request, LazyTime now) {
   RDA_CHECK_MSG(!request.demands.empty(),
                 "pp_begin with no declared demand from thread "
                     << request.thread);
@@ -93,11 +93,11 @@ AdmitTicket AdmissionCore::admit(AdmitRequest request, double now) {
   if (calm() && fast_admit(request, now, partitioned, declared, ticket)) {
     return ticket;
   }
-  return slow_admit(std::move(request), now, partitioned, declared,
+  return slow_admit(std::move(request), now.get(), partitioned, declared,
                     ticket.occupancy_cap);
 }
 
-bool AdmissionCore::fast_admit(AdmitRequest& request, double now,
+bool AdmissionCore::fast_admit(AdmitRequest& request, LazyTime& now,
                                bool partitioned, double declared,
                                AdmitTicket& ticket) {
   const std::uint32_t shard = shard_of_thread(request.thread);
@@ -127,7 +127,6 @@ bool AdmissionCore::fast_admit(AdmitRequest& request, double now,
   record.label = std::move(request.label);
   record.declared_demand = declared;
   record.declared_bandwidth = record.demand_for(ResourceKind::kMemBandwidth);
-  record.begin_time = now;
   record.lease_epoch = monitor_.epoch();
   record.admitted = true;  // budget already charged
   PeriodId id = kInvalidPeriod;
@@ -143,13 +142,12 @@ bool AdmissionCore::fast_admit(AdmitRequest& request, double now,
     throw;
   }
   slot.begins.fetch_add(1);
-  slot.immediate.fetch_add(1);
   if (partitioned) partitioned_periods_.fetch_add(1);
   if (config_.trace_sink != nullptr) {
     const PeriodRecord* stored = monitor_.registry().find(id);
     RDA_CHECK(stored != nullptr);  // our own record; only we can end it
-    trace(obs::EventKind::kBegin, now, *stored);
-    trace(obs::EventKind::kAdmit, now, *stored);
+    trace(obs::EventKind::kBegin, now.get(), *stored);
+    trace(obs::EventKind::kAdmit, now.get(), *stored);
   }
   ticket.id = id;
   ticket.admitted = true;
@@ -246,6 +244,7 @@ std::vector<AdmitTicket> AdmissionCore::admit_batch(
     double declared;
   };
   std::vector<Leftover> leftovers;
+  LazyTime lazy_now(now);
   for (std::size_t i = 0; i < requests.size(); ++i) {
     AdmitRequest& request = requests[i];
     RDA_CHECK_MSG(!request.demands.empty(),
@@ -255,7 +254,8 @@ std::vector<AdmitTicket> AdmissionCore::admit_batch(
     const double declared = request.demands.front().amount;
     const bool partitioned =
         partition_on_entry(request.demands.front(), ticket);
-    if (calm() && fast_admit(request, now, partitioned, declared, ticket)) {
+    if (calm() &&
+        fast_admit(request, lazy_now, partitioned, declared, ticket)) {
       continue;
     }
     leftovers.push_back({i, partitioned, declared});
@@ -300,7 +300,7 @@ WithdrawResult AdmissionCore::try_withdraw(PeriodId id, double now) {
   return result;
 }
 
-bool AdmissionCore::fast_release(PeriodId id, double now,
+bool AdmissionCore::fast_release(PeriodId id, LazyTime& now,
                                  ReleaseTicket& ticket) {
   // Calm lock-free release: claim the record off its shard (only records
   // that are admitted and not force-oversubscribed qualify — everything
@@ -309,7 +309,9 @@ bool AdmissionCore::fast_release(PeriodId id, double now,
       monitor_.mutable_registry().take_if_calm(id);
   if (!record.has_value()) return false;
   ticket.fast_path = true;
-  trace(obs::EventKind::kEnd, now, *record);
+  if (config_.trace_sink != nullptr) {
+    trace(obs::EventKind::kEnd, now.get(), *record);
+  }
   for (const ResourceDemand& d : record->demands) {
     resources_.decrement_load(d.resource, d.amount, record->stripe);
   }
@@ -320,7 +322,7 @@ bool AdmissionCore::fast_release(PeriodId id, double now,
 
 ReleaseTicket AdmissionCore::release(PeriodId id,
                                      const ReleaseObservation& observed,
-                                     double now) {
+                                     LazyTime now) {
   if (calm()) {
     ReleaseTicket ticket;
     if (fast_release(id, now, ticket)) {
@@ -329,12 +331,13 @@ ReleaseTicket AdmissionCore::release(PeriodId id,
       // our budget on its own second look — either way somebody rescans.
       if (monitor_.waitlist().size() != 0 ||
           monitor_.disabled_pool_count() != 0) {
-        on_slow_lane([&] { monitor_.rescan_release(now); });
+        const double t = now.get();
+        on_slow_lane([&] { monitor_.rescan_release(t); });
       }
       return ticket;
     }
   }
-  return slow_release(id, observed, now);
+  return slow_release(id, observed, now.get());
 }
 
 std::vector<ReleaseTicket> AdmissionCore::release_batch(
@@ -342,8 +345,9 @@ std::vector<ReleaseTicket> AdmissionCore::release_batch(
   std::vector<ReleaseTicket> tickets(ids.size());
   std::vector<std::size_t> leftovers;
   bool any_fast = false;
+  LazyTime lazy_now(now);
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (calm() && fast_release(ids[i], now, tickets[i])) {
+    if (calm() && fast_release(ids[i], lazy_now, tickets[i])) {
       any_fast = true;
       continue;
     }
@@ -486,9 +490,10 @@ MonitorStats AdmissionCore::stats() const {
   std::lock_guard<std::mutex> lock(slow_mu_);
   MonitorStats merged = monitor_.stats();
   for (const ShardSlot& slot : slots_) {
-    merged.begins += slot.begins.load();
+    const std::uint64_t begins = slot.begins.load();
+    merged.begins += begins;
     merged.ends += slot.ends.load();
-    merged.immediate_admissions += slot.immediate.load();
+    merged.immediate_admissions += begins;
   }
   return merged;
 }

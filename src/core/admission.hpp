@@ -48,6 +48,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/feedback.hpp"
@@ -129,6 +130,32 @@ struct AdmitRequest {
   std::vector<ResourceDemand> demands;
   ReuseLevel reuse = ReuseLevel::kLow;
   std::string label;
+};
+
+/// The time of one admit or release call, read only when something
+/// consumes it: a trace sink, the slow lane or a Dekker rescan. A known
+/// `now` (the simulator's, the service's) is held as is; a clock is read on
+/// first use and never again, so every consumer in one call sees one time.
+/// The calm lane without a sink never reads it.
+class LazyTime {
+ public:
+  explicit LazyTime(double now) : now_(now) {}
+  /// `clock(context)` returns seconds in the caller's time base.
+  LazyTime(double (*clock)(const void*), const void* context)
+      : clock_(clock), context_(context) {}
+
+  double get() {
+    if (clock_ != nullptr) {
+      now_ = clock_(context_);
+      clock_ = nullptr;
+    }
+    return now_;
+  }
+
+ private:
+  double now_ = 0.0;
+  double (*clock_)(const void*) = nullptr;
+  const void* context_ = nullptr;
 };
 
 /// Outcome of admit(). `admitted == false` means the period is parked on
@@ -215,7 +242,10 @@ class AdmissionCore {
   /// primary LLC demand, then admits through the calm lock-free lane or the
   /// full predicate pipeline. Throws util::CheckFailure on a nested begin
   /// from the same thread (before any stats or trace mutation).
-  AdmitTicket admit(AdmitRequest request, double now);
+  AdmitTicket admit(AdmitRequest&& request, LazyTime now);
+  AdmitTicket admit(AdmitRequest request, double now) {
+    return admit(std::move(request), LazyTime(now));
+  }
 
   /// Batched pp_begin for the service front end's drain loop. Semantically
   /// identical to calling admit() per request in order (tickets come back in
@@ -244,7 +274,11 @@ class AdmissionCore {
   /// through the batch waker). Throws on an unknown id or a never-admitted
   /// period.
   ReleaseTicket release(PeriodId id, const ReleaseObservation& observed,
-                        double now);
+                        LazyTime now);
+  ReleaseTicket release(PeriodId id, const ReleaseObservation& observed,
+                        double now) {
+    return release(id, observed, LazyTime(now));
+  }
 
   /// Batched pp_end. Calm records release through the lock-free lane; the
   /// rest are discharged together under one slow-mutex hold with a single
@@ -331,11 +365,11 @@ class AdmissionCore {
 
  private:
   /// Per-shard fast-lane state: this shard's share of the begin/end
-  /// counters. Cacheline-aligned so shards do not false-share.
+  /// counters (every calm begin is an immediate admission). Cacheline-
+  /// aligned so shards do not false-share.
   struct alignas(64) ShardSlot {
     std::atomic<std::uint64_t> begins{0};
     std::atomic<std::uint64_t> ends{0};
-    std::atomic<std::uint64_t> immediate{0};
   };
 
   /// True when the lock-free lane may decide alone: all-must-fit combining,
@@ -356,7 +390,7 @@ class AdmissionCore {
   bool partition_on_entry(ResourceDemand& primary, AdmitTicket& ticket) const;
   /// Lock-free admit attempt. False = budget contention or nested-begin
   /// impossible here; caller falls through to the slow lane.
-  bool fast_admit(AdmitRequest& request, double now, bool partitioned,
+  bool fast_admit(AdmitRequest& request, LazyTime& now, bool partitioned,
                   double declared, AdmitTicket& ticket);
   /// Runs `fn` under slow_mu_ inside a redirected WakeBatch, then delivers
   /// the wakes and evictions it captured after the mutex is released.
@@ -375,7 +409,7 @@ class AdmissionCore {
                              double now);
   /// Lock-free release attempt (no Dekker re-check — the caller owes one
   /// rescan check per call/batch). False = record not claimable calmly.
-  bool fast_release(PeriodId id, double now, ReleaseTicket& ticket);
+  bool fast_release(PeriodId id, LazyTime& now, ReleaseTicket& ticket);
   void trace(obs::EventKind kind, double now, const PeriodRecord& record);
 
   AdmissionConfig config_;

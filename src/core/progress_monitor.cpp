@@ -129,7 +129,6 @@ bool ProgressMonitor::try_admit_pool(sim::ProcessId process, bool force,
 ProgressMonitor::BeginOutcome ProgressMonitor::begin_period(
     PeriodRecord record, double now) {
   WakeBatch batch(*this);
-  record.begin_time = now;
   record.lease_epoch = epoch_.load();
   const sim::ThreadId thread = record.thread;
   const sim::ProcessId process = record.process;

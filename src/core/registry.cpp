@@ -1,88 +1,77 @@
 #include "core/registry.hpp"
 
+#include <algorithm>
+
 #include "util/check.hpp"
 
 namespace rda::core {
-
-namespace {
-/// Per-registry stash bound: deep enough to absorb any realistic number of
-/// concurrently active periods per shard, small enough to be noise.
-constexpr std::size_t kNodeStashCap = 64;
-}  // namespace
 
 PeriodId PeriodRegistry::insert(PeriodRecord&& record) {
   for (const ResourceDemand& d : record.demands) {
     RDA_CHECK_MSG(d.amount >= 0.0, "negative period demand on "
                                        << to_string(d.resource));
   }
-  RDA_CHECK_MSG(by_thread_.count(record.thread) == 0,
+  RDA_CHECK_MSG(!active_for_thread(record.thread).has_value(),
                 "thread " << record.thread
                           << " already has an active period; periods do not "
                              "nest");
   record.id = next_id_;
   next_id_ += stride_;
-  const PeriodId id = record.id;
-  if (!thread_nodes_.empty()) {
-    ThreadMap::node_type node = std::move(thread_nodes_.back());
-    thread_nodes_.pop_back();
-    node.key() = record.thread;
-    node.mapped() = id;
-    by_thread_.insert(std::move(node));
+  PeriodRecord* slot;
+  if (free_.empty()) {
+    slot = &slots_.emplace_back(std::move(record));
   } else {
-    by_thread_.emplace(record.thread, id);
+    slot = free_.back();
+    free_.pop_back();
+    *slot = std::move(record);
   }
-  if (!record_nodes_.empty()) {
-    RecordMap::node_type node = std::move(record_nodes_.back());
-    record_nodes_.pop_back();
-    node.key() = id;
-    node.mapped() = std::move(record);
-    records_.insert(std::move(node));
-  } else {
-    records_.emplace(id, std::move(record));
-  }
-  return id;
+  live_.push_back({slot->id, slot->thread, slot});
+  return slot->id;
+}
+
+std::size_t PeriodRegistry::index_of(PeriodId id) const {
+  std::size_t i = 0;
+  while (i < live_.size() && live_[i].id != id) ++i;
+  return i;
 }
 
 const PeriodRecord* PeriodRegistry::find(PeriodId id) const {
-  const auto it = records_.find(id);
-  return it == records_.end() ? nullptr : &it->second;
+  const std::size_t i = index_of(id);
+  return i == live_.size() ? nullptr : live_[i].record;
 }
 
 PeriodRecord* PeriodRegistry::find_mutable(PeriodId id) {
-  const auto it = records_.find(id);
-  return it == records_.end() ? nullptr : &it->second;
+  const std::size_t i = index_of(id);
+  return i == live_.size() ? nullptr : live_[i].record;
 }
 
 PeriodRecord PeriodRegistry::remove(PeriodId id) {
-  const auto it = records_.find(id);
-  RDA_CHECK_MSG(it != records_.end(),
-                "pp_end with unknown period id " << id);
-  RecordMap::node_type node = records_.extract(it);
-  PeriodRecord record = std::move(node.mapped());
-  if (record_nodes_.size() < kNodeStashCap) {
-    record_nodes_.push_back(std::move(node));
-  }
-  ThreadMap::node_type tnode = by_thread_.extract(record.thread);
-  if (tnode && thread_nodes_.size() < kNodeStashCap) {
-    thread_nodes_.push_back(std::move(tnode));
-  }
+  const std::size_t i = index_of(id);
+  RDA_CHECK_MSG(i != live_.size(), "pp_end with unknown period id " << id);
+  PeriodRecord* slot = live_[i].record;
+  PeriodRecord record = std::move(*slot);
+  free_.push_back(slot);
+  live_[i] = live_.back();
+  live_.pop_back();
   return record;
 }
 
 std::optional<PeriodId> PeriodRegistry::active_for_thread(
     sim::ThreadId thread) const {
-  const auto it = by_thread_.find(thread);
-  if (it == by_thread_.end()) return std::nullopt;
-  return it->second;
+  for (const Live& l : live_) {
+    if (l.thread == thread) return l.id;
+  }
+  return std::nullopt;
 }
 
 std::vector<PeriodRecord> PeriodRegistry::snapshot() const {
   std::vector<PeriodRecord> out;
-  out.reserve(records_.size());
-  for (const auto& [id, record] : records_) {
-    (void)id;
-    out.push_back(record);
-  }
+  out.reserve(live_.size());
+  for (const Live& l : live_) out.push_back(*l.record);
+  std::sort(out.begin(), out.end(),
+            [](const PeriodRecord& a, const PeriodRecord& b) {
+              return a.id < b.id;
+            });
   return out;
 }
 

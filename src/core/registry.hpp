@@ -10,9 +10,9 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hpp"
@@ -37,7 +37,6 @@ struct PeriodRecord {
   sim::ProcessId process = sim::kInvalidProcess;
   std::vector<ResourceDemand> demands;
   ReuseLevel reuse = ReuseLevel::kLow;
-  double begin_time = 0.0;
   std::string label;
   /// Primary-resource demand as the caller DECLARED it, before
   /// counter-feedback correction and partition capping reshaped the charged
@@ -88,6 +87,12 @@ struct PeriodRecord {
   }
 };
 
+/// One registry shard's live periods. A shard holds a handful at a time
+/// (at most 14 live, 1–2 on average, across the perfbench workloads), so
+/// records live in a slot array that is scanned linearly instead of hashed.
+/// Slots have stable addresses: a record never moves while it is live and
+/// a freed slot is reused by a later insert, so find() pointers stay valid
+/// until their record is removed, and a steady state allocates nothing.
 class PeriodRegistry {
  public:
   /// Ids are assigned first_id, first_id+stride, first_id+2·stride, … —
@@ -95,6 +100,13 @@ class PeriodRegistry {
   /// stay globally unique without cross-shard coordination.
   explicit PeriodRegistry(PeriodId first_id = 1, PeriodId stride = 1)
       : next_id_(first_id), stride_(stride) {}
+
+  /// A copy would point into the source's slots; a move takes the slots'
+  /// blocks along, so every live pointer stays valid.
+  PeriodRegistry(const PeriodRegistry&) = delete;
+  PeriodRegistry& operator=(const PeriodRegistry&) = delete;
+  PeriodRegistry(PeriodRegistry&&) = default;
+  PeriodRegistry& operator=(PeriodRegistry&&) = default;
 
   /// Registers a new active period; assigns and returns its unique id.
   /// Validates before moving: if it throws (nested begin, negative demand)
@@ -112,29 +124,32 @@ class PeriodRegistry {
   /// unknown (double pp_end or a forged id).
   PeriodRecord remove(PeriodId id);
 
-  std::size_t active_count() const { return records_.size(); }
+  std::size_t active_count() const { return live_.size(); }
 
   /// Active period of a given thread, if any (a thread can be inside at
   /// most one period at a time — periods do not nest in the paper's model).
   std::optional<PeriodId> active_for_thread(sim::ThreadId thread) const;
 
-  /// Snapshot for diagnostics.
+  /// Snapshot for diagnostics, sorted by id.
   std::vector<PeriodRecord> snapshot() const;
 
  private:
-  using RecordMap = std::unordered_map<PeriodId, PeriodRecord>;
-  using ThreadMap = std::unordered_map<sim::ThreadId, PeriodId>;
+  /// Keys of one live record, kept apart from the record so a lookup scans
+  /// one small contiguous array.
+  struct Live {
+    PeriodId id;
+    sim::ThreadId thread;
+    PeriodRecord* record;
+  };
 
-  RecordMap records_;
-  ThreadMap by_thread_;
+  /// Index into live_ of the record with this id; live_.size() if none.
+  std::size_t index_of(PeriodId id) const;
+
+  std::deque<PeriodRecord> slots_;   ///< grows only at the back: stable
+  std::vector<PeriodRecord*> free_;  ///< vacated slots, reused first
+  std::vector<Live> live_;           ///< one entry per live record
   PeriodId next_id_ = 1;
   PeriodId stride_ = 1;
-  /// Extracted-node stashes: begin/end on the calm path would otherwise pay
-  /// two map-node mallocs and two frees per period. remove() parks the
-  /// nodes here; insert() re-keys them. Bounded so an admission burst does
-  /// not pin memory forever.
-  std::vector<RecordMap::node_type> record_nodes_;
-  std::vector<ThreadMap::node_type> thread_nodes_;
 };
 
 }  // namespace rda::core

@@ -54,10 +54,10 @@ inline std::uint32_t shard_of_period(PeriodId id) {
 /// 16 independently locked PeriodRegistry shards.
 ///
 /// Pointer lifetime: find()/find_mutable() return pointers that stay valid
-/// until the record is removed (unordered_map node stability), but only the
-/// slow lane may dereference them, and only for records it owns — the
-/// calling thread's own period, or a parked (waitlisted) period, neither of
-/// which the lock-free lane can concurrently remove.
+/// until the record is removed (a live record never leaves its slot), but
+/// only the slow lane may dereference them, and only for records it owns —
+/// the calling thread's own period, or a parked (waitlisted) period,
+/// neither of which the lock-free lane can concurrently remove.
 class ShardedRegistry {
  public:
   ShardedRegistry();

@@ -159,8 +159,29 @@ double AdmissionGate::now_seconds() const {
       .count();
 }
 
+core::LazyTime AdmissionGate::lazy_now() const {
+  return core::LazyTime(
+      [](const void* gate) {
+        return static_cast<const AdmissionGate*>(gate)->now_seconds();
+      },
+      this);
+}
+
+namespace {
+
+/// Per-thread recycled demand buffer: begin copies the caller's demands
+/// into it and end() takes it back from the release ticket, so the
+/// period's demand vector is allocated once per thread, not once per
+/// period.
+std::vector<core::ResourceDemand>& spare_demands() {
+  thread_local std::vector<core::ResourceDemand> spare;
+  return spare;
+}
+
+}  // namespace
+
 std::optional<core::PeriodId> AdmissionGate::begin_impl(
-    std::vector<core::ResourceDemand> demands, ReuseLevel reuse,
+    std::span<const core::ResourceDemand> demands, ReuseLevel reuse,
     std::string label, WaitMode mode, std::chrono::nanoseconds timeout) {
   const std::uint32_t tid = self_id();
   if (config_.reap_on_thread_exit) arm_thread_exit_guard(tid);
@@ -181,12 +202,12 @@ std::optional<core::PeriodId> AdmissionGate::begin_impl(
     const auto it = groups_.find(tid);
     if (it != groups_.end()) request.process = it->second;
   }
-  request.demands = std::move(demands);
+  request.demands = std::move(spare_demands());
+  request.demands.assign(demands.begin(), demands.end());
   request.reuse = reuse;
   request.label = std::move(label);
 
-  const core::AdmitTicket ticket =
-      core_.admit(std::move(request), now_seconds());
+  const core::AdmitTicket ticket = core_.admit(std::move(request), lazy_now());
   if (ticket.admitted) {
     if (ticket.woke_from_waitlist) {
       no_sleep_blocks_.fetch_add(1, std::memory_order_relaxed);
@@ -420,42 +441,17 @@ void AdmissionGate::consume_grant(std::uint32_t tid, core::PeriodId id) {
   granted_.erase(tid);
 }
 
-namespace {
-
-/// Per-thread recycled demand buffer: the single-resource begin would
-/// otherwise heap-allocate a one-element vector per period, and end() would
-/// free the one coming back in the release ticket. The pair below turns
-/// that into a steady-state zero-allocation hand-off.
-std::vector<core::ResourceDemand>& spare_demands() {
-  thread_local std::vector<core::ResourceDemand> spare;
-  return spare;
-}
-
-std::vector<core::ResourceDemand> one_demand(ResourceKind resource,
-                                             double demand) {
-  std::vector<core::ResourceDemand> v = std::move(spare_demands());
-  v.clear();
-  v.push_back({resource, demand});
-  return v;
-}
-
-}  // namespace
-
 core::PeriodId AdmissionGate::begin(ResourceKind resource, double demand,
                                     ReuseLevel reuse, std::string label) {
-  const std::optional<core::PeriodId> id =
-      begin_impl(one_demand(resource, demand), reuse, std::move(label),
-                 WaitMode::kBlocking, {});
-  RDA_CHECK(id.has_value());
-  return *id;
+  const core::ResourceDemand d{resource, demand};
+  return begin_multi({&d, 1}, reuse, std::move(label));
 }
 
 core::PeriodId AdmissionGate::begin_multi(
-    std::vector<core::ResourceDemand> demands, ReuseLevel reuse,
+    std::span<const core::ResourceDemand> demands, ReuseLevel reuse,
     std::string label) {
   const std::optional<core::PeriodId> id =
-      begin_impl(std::move(demands), reuse, std::move(label),
-                 WaitMode::kBlocking, {});
+      begin_impl(demands, reuse, std::move(label), WaitMode::kBlocking, {});
   RDA_CHECK(id.has_value());
   return *id;
 }
@@ -464,15 +460,16 @@ std::optional<core::PeriodId> AdmissionGate::try_begin(ResourceKind resource,
                                                        double demand,
                                                        ReuseLevel reuse,
                                                        std::string label) {
-  return begin_impl(one_demand(resource, demand), reuse, std::move(label),
-                    WaitMode::kTry, {});
+  const core::ResourceDemand d{resource, demand};
+  return begin_impl({&d, 1}, reuse, std::move(label), WaitMode::kTry, {});
 }
 
 std::optional<core::PeriodId> AdmissionGate::begin_for(
     ResourceKind resource, double demand, ReuseLevel reuse,
     std::chrono::nanoseconds timeout, std::string label) {
-  return begin_impl(one_demand(resource, demand), reuse, std::move(label),
-                    WaitMode::kTimed, timeout);
+  const core::ResourceDemand d{resource, demand};
+  return begin_impl({&d, 1}, reuse, std::move(label), WaitMode::kTimed,
+                    timeout);
 }
 
 void AdmissionGate::end(core::PeriodId id) {
@@ -486,7 +483,7 @@ void AdmissionGate::end(core::PeriodId id,
   // reclaims via the evict notifier — each of which notifies. Nothing here
   // to ping (the old design notified only when hardened, leaving plain
   // waiters a lost-wakeup window whenever a fate carried no wake call).
-  core::ReleaseTicket ticket = core_.release(id, observed, now_seconds());
+  core::ReleaseTicket ticket = core_.release(id, observed, lazy_now());
   // Hand the closed period's demand buffer to this thread's next begin.
   if (ticket.record.demands.capacity() > spare_demands().capacity()) {
     spare_demands() = std::move(ticket.record.demands);

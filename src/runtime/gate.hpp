@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -134,8 +135,10 @@ class AdmissionGate {
                        std::string label = {});
 
   /// Multi-resource pp_begin: blocks until EVERY declared demand is
-  /// admitted atomically (e.g. LLC bytes + DRAM bandwidth).
-  core::PeriodId begin_multi(std::vector<core::ResourceDemand> demands,
+  /// admitted atomically (e.g. LLC bytes + DRAM bandwidth). Every begin
+  /// copies its demands into the calling thread's recycled buffer, which
+  /// end() hands back, so a steady state allocates nothing.
+  core::PeriodId begin_multi(std::span<const core::ResourceDemand> demands,
                              ReuseLevel reuse, std::string label = {});
 
   /// Non-blocking begin: admitted immediately or not at all (the request is
@@ -210,7 +213,7 @@ class AdmissionGate {
   };
 
   std::optional<core::PeriodId> begin_impl(
-      std::vector<core::ResourceDemand> demands, ReuseLevel reuse,
+      std::span<const core::ResourceDemand> demands, ReuseLevel reuse,
       std::string label, WaitMode mode, std::chrono::nanoseconds timeout);
 
   /// Single predicate wait on the grant/evict channel (paper-faithful
@@ -243,6 +246,8 @@ class AdmissionGate {
   /// thread's group membership and stale granted_ flag).
   static std::uint32_t self_id();
   double now_seconds() const;
+  /// now_seconds(), read only if the core call consumes the time.
+  core::LazyTime lazy_now() const;
 
   GateConfig config_;
   core::AdmissionCore core_;

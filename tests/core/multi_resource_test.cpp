@@ -151,10 +151,10 @@ TEST(MultiResource, NativeGateBeginMulti) {
   cfg.bandwidth_capacity = 30e9;
   cfg.policy = PolicyKind::kStrict;
   rt::AdmissionGate gate(cfg);
-  const auto id = gate.begin_multi(
-      {{ResourceKind::kLLC, static_cast<double>(MB(1))},
-       {ResourceKind::kMemBandwidth, 10e9}},
-      ReuseLevel::kLow, "stream");
+  const core::ResourceDemand demands[] = {
+      {ResourceKind::kLLC, static_cast<double>(MB(1))},
+      {ResourceKind::kMemBandwidth, 10e9}};
+  const auto id = gate.begin_multi(demands, ReuseLevel::kLow, "stream");
   EXPECT_NEAR(gate.usage(ResourceKind::kMemBandwidth), 10e9, 1.0);
   gate.end(id);
   EXPECT_NEAR(gate.usage(ResourceKind::kMemBandwidth), 0.0, 1e-6);

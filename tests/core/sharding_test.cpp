@@ -11,6 +11,7 @@
 
 #include "core/admission.hpp"
 #include "core/sharding.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -90,6 +91,104 @@ TEST(Sharding, TakeIfCalmClaimsOnlyCalmRecords) {
   // The claim removed it: a second claim (double pp_end) finds nothing.
   EXPECT_FALSE(registry.take_if_calm(calm_id).has_value());
   EXPECT_EQ(registry.active_count(), 2u);
+}
+
+/// The first `count` thread ids (from 1) that hash onto `shard`.
+std::vector<sim::ThreadId> threads_of_shard(std::uint32_t shard,
+                                            std::size_t count) {
+  std::vector<sim::ThreadId> out;
+  for (sim::ThreadId t = 1; out.size() < count; ++t) {
+    if (shard_of_thread(t) == shard) out.push_back(t);
+  }
+  return out;
+}
+
+PeriodRecord admitted_record(sim::ThreadId thread, double demand = 1.0) {
+  PeriodRecord record;
+  record.thread = thread;
+  record.process = static_cast<sim::ProcessId>(thread);
+  record.demands = {{ResourceKind::kLLC, demand}};
+  record.admitted = true;
+  return record;
+}
+
+TEST(Sharding, OneShardHoldsManyLivePeriods) {
+  constexpr std::uint32_t kShard = 5;
+  ShardedRegistry registry;
+  const std::vector<sim::ThreadId> threads = threads_of_shard(kShard, 80);
+  std::vector<PeriodId> ids;
+  for (const sim::ThreadId t : threads) {
+    ids.push_back(registry.insert(admitted_record(t)));
+    EXPECT_EQ(shard_of_period(ids.back()), kShard);
+  }
+  EXPECT_EQ(registry.active_count(), threads.size());
+  for (std::size_t i = 0; i < threads.size(); ++i) {
+    EXPECT_EQ(registry.active_for_thread(threads[i]), ids[i]);
+    // Nested begin on a full shard still throws, and leaves no trace.
+    EXPECT_THROW(registry.insert(admitted_record(threads[i])),
+                 util::CheckFailure);
+  }
+  EXPECT_EQ(registry.active_count(), threads.size());
+  // A forged id in this shard's residue class, never issued.
+  const PeriodId forged = ids.back() + 64 * kNumShards;
+  EXPECT_EQ(shard_of_period(forged), kShard);
+  EXPECT_EQ(registry.find(forged), nullptr);
+  EXPECT_THROW(registry.remove(forged), util::CheckFailure);
+  EXPECT_FALSE(registry.try_remove(forged).has_value());
+  EXPECT_FALSE(registry.take_if_calm(forged).has_value());
+  for (const PeriodId id : ids) {
+    ASSERT_TRUE(registry.take_if_calm(id).has_value());
+  }
+  EXPECT_EQ(registry.active_count(), 0u);
+}
+
+TEST(Sharding, FoundPointerSurvivesChurnInItsShard) {
+  constexpr std::uint32_t kShard = 11;
+  ShardedRegistry registry;
+  const std::vector<sim::ThreadId> threads = threads_of_shard(kShard, 33);
+  const PeriodId held = registry.insert(admitted_record(threads[0], 7.0));
+  const PeriodRecord* pinned = registry.find(held);
+  ASSERT_NE(pinned, nullptr);
+  // 1000 inserts and removes on the same shard, up to 32 other records
+  // live at once; ids keep the shard's residue class throughout.
+  std::vector<std::pair<PeriodId, sim::ThreadId>> live;
+  std::vector<sim::ThreadId> idle(threads.begin() + 1, threads.end());
+  for (int i = 0; i < 1000; ++i) {
+    if (!idle.empty() && i % 4 != 3) {
+      const sim::ThreadId t = idle.back();
+      idle.pop_back();
+      const PeriodId id = registry.insert(admitted_record(t));
+      EXPECT_EQ(shard_of_period(id), kShard);
+      live.emplace_back(id, t);
+    } else {
+      const auto [id, t] = live.front();
+      live.erase(live.begin());
+      EXPECT_TRUE(registry.take_if_calm(id).has_value());
+      idle.push_back(t);
+    }
+    ASSERT_EQ(registry.find(held), pinned) << "after step " << i;
+  }
+  EXPECT_EQ(pinned->id, held);
+  EXPECT_EQ(pinned->thread, threads[0]);
+  EXPECT_DOUBLE_EQ(pinned->primary_demand(), 7.0);
+}
+
+TEST(Sharding, SnapshotIsSortedByIdAcrossShards) {
+  ShardedRegistry registry;
+  std::vector<PeriodId> ids;
+  for (sim::ThreadId t = 1; t <= 120; ++t) {
+    ids.push_back(registry.insert(admitted_record(t)));
+  }
+  // Vacate slots in every shard, then refill them with newer ids.
+  for (std::size_t i = 0; i < ids.size(); i += 3) registry.remove(ids[i]);
+  for (sim::ThreadId t = 1; t <= 120; t += 3) {
+    registry.insert(admitted_record(t));
+  }
+  const std::vector<PeriodRecord> snapshot = registry.snapshot();
+  ASSERT_EQ(snapshot.size(), 120u);
+  for (std::size_t i = 1; i < snapshot.size(); ++i) {
+    EXPECT_LT(snapshot[i - 1].id, snapshot[i].id);
+  }
 }
 
 TEST(Sharding, WaitlistCounterTracksContentsAcrossShards) {

@@ -8,8 +8,11 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
+#include "obs/reconcile.hpp"
+#include "obs/recorder.hpp"
 #include "util/units.hpp"
 
 namespace rda::rt {
@@ -427,6 +430,53 @@ TEST(AdmissionGate, StatsSnapshotConsistent) {
   gate.end(id);
   s = gate.stats();
   EXPECT_EQ(s.monitor.ends, 1u);
+}
+
+TEST(AdmissionGate, CalmLaneTraceCarriesGateEpochTimes) {
+  // The calm lane reads the clock only for a consumer; an attached sink is
+  // one, so its events must carry real times, not the unread zero.
+  obs::EventRecorder recorder;
+  GateConfig cfg = strict_config();
+  cfg.trace_sink = &recorder;
+  const auto constructed = std::chrono::steady_clock::now();
+  AdmissionGate gate(cfg);
+  constexpr int kThreads = 2;
+  constexpr int kPeriods = 200;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&gate] {
+      for (int i = 0; i < kPeriods; ++i) {
+        gate.end(gate.begin(ResourceKind::kLLC, static_cast<double>(MB(1)),
+                            ReuseLevel::kHigh, "calm"));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - constructed)
+                             .count();
+
+  const GateStats stats = gate.stats();
+  ASSERT_EQ(stats.monitor.blocks, 0u);  // the calm lane served every call
+  ASSERT_EQ(recorder.dropped(), 0u);
+  const std::vector<obs::Event> events = recorder.events();
+  ASSERT_EQ(events.size(), 3u * kThreads * kPeriods);
+  std::unordered_map<sim::ThreadId, double> last;
+  for (const obs::Event& e : events) {
+    EXPECT_TRUE(e.kind == obs::EventKind::kBegin ||
+                e.kind == obs::EventKind::kAdmit ||
+                e.kind == obs::EventKind::kEnd);
+    EXPECT_GT(e.time, 0.0) << "period " << e.period;
+    EXPECT_LE(e.time, elapsed) << "period " << e.period;
+    const auto [it, first] = last.try_emplace(e.thread, e.time);
+    if (!first) {
+      EXPECT_GE(e.time, it->second) << "thread " << e.thread;
+      it->second = e.time;
+    }
+  }
+  EXPECT_EQ(last.size(), static_cast<std::size_t>(kThreads));
+  const obs::ReconcileReport report = obs::reconcile(events, stats.monitor);
+  EXPECT_TRUE(report.ok) << report.message;
 }
 
 }  // namespace

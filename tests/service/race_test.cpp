@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -194,6 +195,24 @@ TEST(ServiceRace, ShardedDrainSurvivesNodeDeathMidRun) {
   }
 }
 
+/// Waits for a parked request to be admitted by some other thread's rescan
+/// (the test's batch waker is a no-op, so it polls). Returns whether it was
+/// admitted. One still parked at the deadline is withdrawn and reported as
+/// a failure, so the caller keeps draining and its producers never block.
+bool settle_parked(core::AdmissionCore& core, core::PeriodId id) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (core.is_admitted(id)) return true;
+    std::this_thread::yield();
+  }
+  if (core.try_withdraw(id, 0.0) == core::WithdrawResult::kAlreadyAdmitted) {
+    return true;
+  }
+  ADD_FAILURE() << "parked period " << id << " was never admitted";
+  return false;
+}
+
 TEST(ServiceRace, DrainRejoinRacesConcurrentSubmissions) {
   constexpr int kProducers = 3;
   constexpr std::uint64_t kPerProducer = 8000;
@@ -221,6 +240,14 @@ TEST(ServiceRace, DrainRejoinRacesConcurrentSubmissions) {
   }
 
   // The drain loop: one batched admission + release pass per pop.
+  //
+  // A small request MAY park. The chaos thread's big request steals budget
+  // stripe by stripe before it finds it cannot fit and rolls back; a small
+  // request that reaches the budget inside that window sees none left,
+  // parks, and may miss the budget on its second look too. The rollback
+  // does not rescan, but the chaos thread's next withdraw or release does,
+  // and admits it. So the drainer settles every parked ticket — waits for
+  // that admission — before it releases the batch, and keeps draining.
   std::thread drainer([&] {
     std::vector<sim::ThreadId> batch;
     std::uint64_t drained = 0;
@@ -245,8 +272,9 @@ TEST(ServiceRace, DrainRejoinRacesConcurrentSubmissions) {
       std::vector<core::PeriodId> ids;
       ids.reserve(tickets.size());
       for (const auto& ticket : tickets) {
-        ASSERT_TRUE(ticket.admitted);
-        ids.push_back(ticket.id);
+        if (ticket.admitted || settle_parked(core, ticket.id)) {
+          ids.push_back(ticket.id);
+        }
       }
       admitted += ids.size();
       core.release_batch(ids, 0.0);
