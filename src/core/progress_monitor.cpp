@@ -314,74 +314,56 @@ void ProgressMonitor::rescan(double now) {
 }
 
 void ProgressMonitor::watchdog_rounds(double now) {
-  const WatchdogOptions& wd = options_.watchdog;
-  if (wd.max_wake_rounds == 0 || waitlist_.empty()) return;
-  for (std::size_t i = 0; i < waitlist_.size(); ++i) {
-    ++waitlist_.entry_at(i).rounds;
-  }
-  // One escalation may remove an entry (shifting indices) — restart the
-  // scan after each. Terminates: escalate() always resets rounds and either
-  // removes the entry or advances/saturates its rung.
-  bool progressed = true;
-  while (progressed) {
-    progressed = false;
-    for (std::size_t i = 0; i < waitlist_.size(); ++i) {
-      const Waitlist::Entry& e = waitlist_.entry_at(i);
-      if (e.rung >= 3 || e.rounds < wd.max_wake_rounds) continue;
-      escalate(i, now);
-      progressed = true;
-      break;
-    }
-  }
+  const std::uint32_t rounds = options_.watchdog.max_wake_rounds;
+  if (rounds == 0) return;
+  escalate_where(now, /*first_only=*/false, [rounds](Waitlist::Entry& e) {
+    return e.ladder.worse(rounds, kRejectRung);
+  });
 }
 
 bool ProgressMonitor::watchdog_tick(double now) {
   WakeBatch batch(*this);
   const WatchdogOptions& wd = options_.watchdog;
-  if (!wd.enable || wd.max_wait_seconds <= 0.0 || waitlist_.empty()) {
-    return false;
-  }
-  bool any = false;
-  bool progressed = true;
-  while (progressed) {
-    progressed = false;
-    for (std::size_t i = 0; i < waitlist_.size(); ++i) {
-      const Waitlist::Entry& e = waitlist_.entry_at(i);
-      if (e.rung >= 3) continue;
-      if (now - e.last_escalation_time < wd.max_wait_seconds) continue;
-      escalate(i, now);
-      any = true;
-      progressed = true;
-      break;
-    }
-  }
-  return any;
+  if (!wd.enable || wd.max_wait_seconds <= 0.0) return false;
+  return escalate_where(now, /*first_only=*/false, [&](Waitlist::Entry& e) {
+    return now - e.last_escalation_time >= wd.max_wait_seconds &&
+           e.ladder.climb(kRejectRung);
+  });
 }
 
 bool ProgressMonitor::watchdog_stalled(double now) {
   WakeBatch batch(*this);
-  if (!options_.watchdog.enable || waitlist_.empty()) return false;
-  for (std::size_t i = 0; i < waitlist_.size(); ++i) {
-    if (waitlist_.entry_at(i).rung >= 3) continue;
-    escalate(i, now);
-    return true;
+  if (!options_.watchdog.enable) return false;
+  return escalate_where(now, /*first_only=*/true, [](Waitlist::Entry& e) {
+    return e.ladder.climb(kRejectRung);
+  });
+}
+
+bool ProgressMonitor::escalate_where(
+    double now, bool first_only,
+    const std::function<bool(Waitlist::Entry&)>& trigger) {
+  // One forward FIFO pass: escalate() removes at most the entry it acts on
+  // and touches no other, so every entry is visited exactly once.
+  bool any = false;
+  for (std::size_t i = 0; i < waitlist_.size() && !(any && first_only);) {
+    const bool moved = trigger(waitlist_.entry_at(i));
+    any = any || moved;
+    if (!moved || !escalate(i, now)) ++i;
   }
-  return false;  // every waiter has exhausted the ladder
+  return any;
 }
 
 bool ProgressMonitor::escalate(std::size_t index, double now) {
   const WatchdogOptions& wd = options_.watchdog;
   Waitlist::Entry& e = waitlist_.entry_at(index);
-  e.rounds = 0;
   e.last_escalation_time = now;
   PeriodRecord* record = registry_.find_mutable(e.period);
   RDA_CHECK(record != nullptr);
 
   // Rung 1: clamp oversized demands to a feasible charge. Applies only when
   // something actually exceeds the bound — a feasible-but-starved waiter
-  // (leaked capacity, lost wake) skips straight to the next rung.
-  if (e.rung < 1) {
-    e.rung = 1;
+  // (leaked capacity, lost wake) climbs straight on to the next rung.
+  if (e.ladder.rung() == 1) {
     if (wd.clamp) {
       bool clamped = false;
       for (ResourceDemand& d : record->demands) {
@@ -407,12 +389,12 @@ bool ProgressMonitor::escalate(std::size_t index, double now) {
         return false;
       }
     }
+    e.ladder.climb(kRejectRung);
   }
 
   // Rung 2: forced admission, with the charge mirrored into the separate
   // oversubscription tally so the conservation ledger can audit it.
-  if (e.rung < 2) {
-    e.rung = 2;
+  if (e.ladder.rung() == 2) {
     if (wd.force_admit) {
       for (const ResourceDemand& d : record->demands) {
         resources_->increment_load(d.resource, d.amount, record->stripe);
@@ -427,12 +409,12 @@ bool ProgressMonitor::escalate(std::size_t index, double now) {
       wake_entry(woken, now);
       return true;
     }
+    e.ladder.climb(kRejectRung);
   }
 
   // Rung 3: evict with an error. No wake grant — the substrate surfaces
   // the rejection to the sleeping owner via take_rejection* and the
   // batched eviction notice.
-  e.rung = 3;
   if (wd.reject) {
     const Waitlist::Entry evicted = waitlist_.remove_at(index);
     const PeriodRecord closed = registry_.remove(evicted.period);

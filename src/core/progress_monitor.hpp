@@ -337,10 +337,19 @@ class ProgressMonitor {
   void rescan(double now);
   /// Reap implementation shared by reap_thread and sweep.
   ReapOutcome reap_period(PeriodId id, double now, bool remember_waiter);
+  /// The watchdog ladder's top rung (1 = clamp, 2 = force, 3 = reject).
+  static constexpr int kRejectRung = 3;
   /// Round-triggered watchdog pass over the entries a rescan left parked.
   void watchdog_rounds(double now);
-  /// Applies the next enabled ladder rung to the entry at `index`. Returns
-  /// true when the entry left the waitlist (admitted or rejected).
+  /// Escalates, in FIFO order, every parked entry whose `trigger` moved its
+  /// ladder (only the first such entry when `first_only`). Returns true
+  /// when any entry moved.
+  bool escalate_where(double now, bool first_only,
+                      const std::function<bool(Waitlist::Entry&)>& trigger);
+  /// Applies the action of the rung the entry at `index` has just climbed
+  /// to, climbing on past a rung whose action is disabled or does not
+  /// apply. Returns true when the entry left the waitlist (admitted or
+  /// rejected).
   bool escalate(std::size_t index, double now);
   /// Group admission check for one disabled pool; admits and wakes the whole
   /// group when it fits. Returns true if the pool was re-enabled.

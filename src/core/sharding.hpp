@@ -124,7 +124,7 @@ class ShardedWaitlist {
   /// indices below refer to positions in this view.
   const std::deque<Entry>& entries() const;
 
-  /// Mutable access for the watchdog's round/rung bookkeeping; the identity
+  /// Mutable access for the watchdog's ladder bookkeeping; the identity
   /// fields (period/thread/process/seq) must not be modified through this.
   Entry& entry_at(std::size_t index);
 

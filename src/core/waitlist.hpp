@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "core/ladder.hpp"
 #include "core/registry.hpp"
 
 namespace rda::core {
@@ -35,12 +36,11 @@ class Waitlist {
     /// Primary-resource demand of the parked period; lets wake strategies
     /// order candidates without a registry lookup.
     double demand = 0.0;
-    /// Starvation-watchdog bookkeeping: fruitless rescans survived since the
-    /// last escalation, the highest degradation-ladder rung already applied
-    /// (0 = none, 1 = clamp, 2 = force, 3 = reject), and when the watchdog
-    /// last acted on (or first saw) this entry.
-    std::uint32_t rounds = 0;
-    std::uint8_t rung = 0;
+    /// Starvation-watchdog bookkeeping: the degradation ladder (rung 0 =
+    /// none, 1 = clamp, 2 = force, 3 = reject; its worse streak counts the
+    /// fruitless rescans survived since the last escalation), and when the
+    /// watchdog last acted on (or first saw) this entry.
+    EscalationLadder ladder{};
     double last_escalation_time = 0.0;
     /// Global arrival sequence, assigned by the sharded waitlist so the
     /// cross-shard merged view can reconstruct true FIFO order.
@@ -52,10 +52,6 @@ class Waitlist {
   bool empty() const { return entries_.empty(); }
   std::size_t size() const { return entries_.size(); }
   const std::deque<Entry>& entries() const { return entries_; }
-
-  /// Mutable access for the watchdog's round/rung bookkeeping; the identity
-  /// fields (period/thread/process) must not be modified through this.
-  Entry& entry_at(std::size_t index) { return entries_[index]; }
 
   /// Removes and returns every entry `admit` accepts, in FIFO order. When
   /// `head_only`, scanning stops at the first rejection.

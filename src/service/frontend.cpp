@@ -62,9 +62,7 @@ ServiceFrontEnd::ServiceFrontEnd(ServiceConfig config)
                                          : config_.nodes;
   true_outstanding_.assign(static_cast<std::size_t>(config_.nodes), 0.0);
   if (config_.enforce) {
-    TenantLedgerOptions opts = config_.ledger;
-    if (opts.trace_sink == nullptr) opts.trace_sink = config_.trace_sink;
-    ledger_ = std::make_unique<TenantLedger>(opts);
+    ledger_ = std::make_unique<TenantLedger>(config_.trace_sink);
   }
   shards_.resize(static_cast<std::size_t>(num_shards_));
   cores_.reserve(static_cast<std::size_t>(config_.nodes));
@@ -264,7 +262,7 @@ double ServiceFrontEnd::shape_demand(const Sub& sub, double& penalty,
   // Safety clamp: a demand larger than the node can never be admitted by
   // the strict predicate; cap it like watchdog rung 1 would.
   double shaped = std::min(sub.demand, config_.node_llc_bytes);
-  if (rung_ >= 1) {
+  if (ladder_.rung() >= 1) {
     const double cap = kClampFraction * config_.node_llc_bytes;
     if (shaped > cap) {
       shaped = cap;
@@ -272,7 +270,7 @@ double ServiceFrontEnd::shape_demand(const Sub& sub, double& penalty,
       penalty *= kClampPenalty;
     }
   }
-  if (rung_ >= 2) {
+  if (ladder_.rung() >= 2) {
     // Thrash rung: the node is past the point where precise accounting
     // helps; trade fidelity for throughput.
     shaped /= kOversubscription;
@@ -336,7 +334,7 @@ bool ServiceFrontEnd::enforce_ledger(const Sub& sub, double& llc) {
       static_cast<double>(config_.nodes) * config_.node_llc_bytes /
       static_cast<double>(std::max<std::size_t>(tenant_rows_.size(), 1));
   if (llc > fair) {
-    const double unit = ledger_->options().credit_unit_bytes;
+    const double unit = TenantLedger::kCreditUnitBytes;
     const auto units_over =
         static_cast<std::uint64_t>(std::ceil((llc - fair) / unit));
     const auto want = static_cast<std::uint64_t>(std::ceil(
@@ -467,7 +465,7 @@ void ServiceFrontEnd::release_due(double now) {
                              : flight.sub.demand;
         // Under global overload the fleet itself limits what a period can
         // occupy; a below-declaration peak is then a lower bound, not a lie.
-        audit.contended = rung_ >= 2;
+        audit.contended = ladder_.rung() >= 2;
         audit.time = done;
         shards_[static_cast<std::size_t>(shard_of_node(n, num_shards_))]
             .audit_slice.push_back(audit);
@@ -701,7 +699,7 @@ void ServiceFrontEnd::drain_pass(double now) {
   trace_service(obs::EventKind::kBatchDrain, now, stats_.drains, 0,
                 static_cast<double>(popped.size()));
 
-  if (rung_ >= 3) {
+  if (ladder_.rung() >= 3) {
     // SLO-aware shedding: keep the floor(fraction × batch) submissions
     // whose declared work (demand × service) is largest and shed the
     // cheap tail first — the kept few carry most of the batch's work, so
@@ -846,13 +844,8 @@ void ServiceFrontEnd::update_ladder() {
                    latency_ewma_ > config_.ladder.latency_high_seconds;
   const bool cool = depth_ewma_ < 0.5 * config_.ladder.queue_high &&
                     latency_ewma_ < 0.5 * config_.ladder.latency_high_seconds;
-  if (hot && rung_ < 3) {
-    ++rung_;
-    ++stats_.escalations;
-  } else if (cool && rung_ > 0) {
-    --rung_;
-    ++stats_.deescalations;
-  }
+  if (hot && ladder_.worse(1, 3)) ++stats_.escalations;
+  if (cool && ladder_.better(1)) ++stats_.deescalations;
 }
 
 ServiceReport ServiceFrontEnd::run(ArrivalSource& arrivals,
@@ -900,7 +893,7 @@ ServiceReport ServiceFrontEnd::run(ArrivalSource& arrivals,
     // idle ticks decay both EWMAs geometrically, so this terminates.
     if (!have && queue_backlog_ == 0 && inbox_backlog() == 0 &&
         parked_.empty() && in_flight_.empty() && completions_.empty() &&
-        rung_ == 0) {
+        ladder_.rung() == 0) {
       break;
     }
   }
@@ -911,7 +904,7 @@ ServiceReport ServiceFrontEnd::run(ArrivalSource& arrivals,
   apply_audits();
 
   ServiceReport report;
-  stats_.final_rung = rung_;
+  stats_.final_rung = ladder_.rung();
   stats_.still_queued = queue_backlog_ + inbox_backlog();
   if (ledger_ != nullptr) {
     stats_.audits = ledger_->audits();

@@ -33,8 +33,10 @@
 // node from idling without shearing any tenant's working set across two
 // LLCs.
 //
-// Overload control reuses the degradation-ladder shape of the admission
-// watchdog, keyed off the backlog and admission-latency EWMAs:
+// Overload control is a core::EscalationLadder (the admission watchdog's
+// and the tenant ledger's rung machine), keyed off the backlog and
+// admission-latency EWMAs: each hot tick climbs one rung, each cool tick
+// descends one:
 //   rung 0  normal admission,
 //   rung 1  clamp: demands capped to half the node LLC (easier to admit,
 //           at a 1.25× service-time penalty for the clamped period),
@@ -67,6 +69,7 @@
 #include <vector>
 
 #include "core/admission.hpp"
+#include "core/ladder.hpp"
 #include "obs/histogram.hpp"
 #include "obs/sink.hpp"
 #include "service/arrival.hpp"
@@ -140,7 +143,6 @@ struct ServiceConfig {
   /// default so pre-existing runs (and the committed BENCH baselines) stay
   /// byte-identical.
   bool enforce = false;
-  TenantLedgerOptions ledger{};
   /// Occupancy model for the audit path: a completed period reports
   /// min(its TRUE working set, node LLC) as observed peak (true demand 0 =
   /// the declaration was truthful). Also arms the thrash model — a period
@@ -155,7 +157,7 @@ struct ServiceStats {
   std::uint64_t enqueued = 0;   ///< kEnqueue events (incl. re-queues)
   std::uint64_t drains = 0;     ///< drain passes that popped anything
   std::uint64_t drained = 0;    ///< submissions popped across all drains
-  std::uint64_t shed = 0;       ///< dropped by ladder rung 3
+  std::uint64_t shed = 0;       ///< overload rung-3 + quota_denied sheds
   std::uint64_t steals = 0;     ///< tenant batches moved to an idle node
   std::uint64_t stolen = 0;     ///< submissions inside those batches
   std::uint64_t reroutes = 0;   ///< submissions re-queued by a node death
@@ -257,7 +259,6 @@ class ServiceFrontEnd {
   ServiceReport run(ArrivalSource& arrivals, std::uint64_t count);
 
   // Introspection for tests.
-  int current_rung() const { return rung_; }
   int drain_shards() const { return num_shards_; }
   int shard_for_tenant(std::uint64_t tenant) const {
     return shard_of_tenant(config_.seed, tenant, num_shards_);
@@ -405,7 +406,7 @@ class ServiceFrontEnd {
                       std::greater<Completion>>
       completions_;
 
-  int rung_ = 0;
+  core::EscalationLadder ladder_;  ///< overload rung (worse = hot tick)
   double depth_ewma_ = 0.0;
   double latency_ewma_ = 0.0;
   bool fault_down_ = false;

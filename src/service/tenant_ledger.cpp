@@ -5,43 +5,30 @@
 #include <cstring>
 
 #include "core/feedback.hpp"
-#include "util/check.hpp"
 
 namespace rda::service {
 
-TenantLedger::TenantLedger(TenantLedgerOptions options)
-    : options_(options) {
-  RDA_CHECK(options_.escalate_after >= 1);
-  RDA_CHECK(options_.recover_after >= 1);
-  RDA_CHECK(options_.credit_unit_bytes > 0.0);
-}
-
 void TenantLedger::trace(obs::EventKind kind, double now,
                          std::uint64_t tenant, double demand) const {
-  if (options_.trace_sink == nullptr) return;
+  if (sink_ == nullptr) return;
   obs::Event e;
   e.time = now;
   e.kind = kind;
   e.process = static_cast<sim::ProcessId>(tenant);
   e.demand = demand;
-  options_.trace_sink->record(e);
+  sink_->record(e);
 }
 
-TenantVerdict TenantLedger::audit(std::uint64_t tenant, double declared,
-                                  double observed, bool contended,
-                                  double now) {
+bool TenantLedger::audit(std::uint64_t tenant, double declared,
+                         double observed, bool contended, double now) {
   std::lock_guard<std::mutex> lock(mu_);
   return audit_locked(tenant, declared, observed, contended, now);
 }
 
-TenantVerdict TenantLedger::audit_locked(std::uint64_t tenant,
-                                         double declared, double observed,
-                                         bool contended, double now) {
-  TenantVerdict verdict;
-  if (tenant == 0 || declared <= 0.0) {
-    verdict.counted = false;
-    return verdict;  // anonymous or unpriced work is not auditable
-  }
+bool TenantLedger::audit_locked(std::uint64_t tenant, double declared,
+                                double observed, bool contended, double now) {
+  // Anonymous or unpriced work is not auditable.
+  if (tenant == 0 || declared <= 0.0) return false;
   ++audits_;
   TenantState& state = tenants_[tenant];
   ++state.audit_count;
@@ -63,60 +50,38 @@ TenantVerdict TenantLedger::audit_locked(std::uint64_t tenant,
     // Record the audit (the ratio may still GROW toward 1) but touch no
     // streak and no score — this is the recoverability guarantee for
     // honest-but-contended tenants.
-    verdict.counted = false;
-    verdict.rung = state.rung;
-    return verdict;
+    return false;
   }
 
   state.honesty = kHonestyDecay * state.honesty +
                   (1.0 - kHonestyDecay) * (honest ? 1.0 : 0.0);
-  verdict.honest = honest;
 
   if (honest) {
-    state.honest_streak += 1;
-    state.divergent_streak = 0;
     // Karma donation: honest unused reservation becomes credits. Truncation
     // (floor + cap) happens at grant time so conservation stays exact.
     if (declared > observed) {
       const double unused = declared - observed;
-      auto units = static_cast<std::uint64_t>(
-          unused / options_.credit_unit_bytes);
+      auto units = static_cast<std::uint64_t>(unused / kCreditUnitBytes);
       const std::uint64_t room =
-          state.credits >= options_.credit_cap
-              ? 0
-              : options_.credit_cap - state.credits;
+          state.credits >= kCreditCap ? 0 : kCreditCap - state.credits;
       units = std::min(units, room);
       if (units > 0) {
         state.credits += units;
         state.granted += units;
         total_granted_ += units;
-        verdict.credits_granted = units;
         trace(obs::EventKind::kCreditGrant, now, tenant,
               static_cast<double>(units));
       }
     }
-    if (state.rung > 0 && state.honest_streak >= options_.recover_after) {
-      state.honest_streak = 0;
-      --state.rung;
-      verdict.rung_changed = true;
-      trace(obs::EventKind::kPenalty, now, tenant,
-            static_cast<double>(state.rung));
-    }
-  } else {
-    state.divergent_streak += 1;
-    state.honest_streak = 0;
-    if (state.audit_count >= options_.min_audits && state.rung < 4 &&
-        state.divergent_streak >= options_.escalate_after) {
-      state.divergent_streak = 0;
-      ++state.rung;
-      ++penalties_;
-      verdict.rung_changed = true;
-      trace(obs::EventKind::kPenalty, now, tenant,
-            static_cast<double>(state.rung));
-    }
   }
-  verdict.rung = state.rung;
-  return verdict;
+  const bool moved = honest ? state.ladder.better(kRecoverAfter)
+                            : state.ladder.worse(kEscalateAfter, 4);
+  if (moved) {
+    if (!honest) ++penalties_;
+    trace(obs::EventKind::kPenalty, now, tenant,
+          static_cast<double>(state.ladder.rung()));
+  }
+  return true;
 }
 
 void TenantLedger::apply(std::span<const AuditRecord> records) {
@@ -137,13 +102,13 @@ void TenantLedger::apply(std::span<const AuditRecord> records) {
 int TenantLedger::rung(std::uint64_t tenant) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = tenants_.find(tenant);
-  return it == tenants_.end() ? 0 : it->second.rung;
+  return it == tenants_.end() ? 0 : it->second.ladder.rung();
 }
 
 double TenantLedger::demand_correction(std::uint64_t tenant) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = tenants_.find(tenant);
-  if (it == tenants_.end() || it->second.rung < 1) return 1.0;
+  if (it == tenants_.end() || it->second.ladder.rung() < 1) return 1.0;
   return std::clamp(it->second.ratio, kCorrectionMin, kCorrectionMax);
 }
 
@@ -246,9 +211,9 @@ std::uint64_t TenantLedger::fingerprint() const {
     mix_double(state.honesty);
     mix_double(state.ratio);
     mix(state.audit_count);
-    mix(state.divergent_streak);
-    mix(state.honest_streak);
-    mix(static_cast<std::uint64_t>(state.rung));
+    mix(state.ladder.worse_streak());
+    mix(state.ladder.better_streak());
+    mix(static_cast<std::uint64_t>(state.ladder.rung()));
     mix(state.credits);
     mix(state.granted);
     mix(state.spent);

@@ -30,10 +30,10 @@
 //      their own banked slack. Divergent audits grant nothing, so inflating
 //      a declaration can never mint credits.
 //
-//   3. A per-tenant penalty ladder, engaging only on SUSTAINED divergence
-//      (escalate_after consecutive divergent audits per rung) and decaying
-//      back on honest behaviour (recover_after consecutive honest audits
-//      per rung):
+//   3. A per-tenant penalty ladder (a core::EscalationLadder), engaging
+//      only on SUSTAINED divergence (kEscalateAfter = 3 consecutive
+//      divergent audits per rung) and decaying back on honest behaviour
+//      (kRecoverAfter = 6 consecutive honest audits per rung):
 //        rung 0  trusted — declarations taken at face value,
 //        rung 1  haircut — declared demand is rescaled by the audited
 //                usage ratio (an inflator is charged what it uses; an
@@ -63,27 +63,10 @@
 #include <span>
 #include <vector>
 
+#include "core/ladder.hpp"
 #include "obs/sink.hpp"
 
 namespace rda::service {
-
-struct TenantLedgerOptions {
-  /// Audits required before any penalty can engage — one noisy period must
-  /// not brand a tenant.
-  std::uint32_t min_audits = 3;
-  /// Consecutive divergent audits to climb one rung.
-  std::uint32_t escalate_after = 3;
-  /// Consecutive honest audits to descend one rung.
-  std::uint32_t recover_after = 6;
-  /// Bytes of unused honest reservation per credit unit.
-  double credit_unit_bytes = 64.0 * 1024.0;
-  /// Per-tenant credit balance cap (units); grants truncate here so one
-  /// idle tenant cannot bank unbounded burst rights.
-  std::uint64_t credit_cap = 1u << 20;
-  /// Event sink for kPenalty / kCreditGrant / kCreditSpend (non-owning;
-  /// nullptr = tracing off).
-  obs::TraceSink* trace_sink = nullptr;
-};
 
 /// One captured audit: a completed period's declared primary demand vs the
 /// peak occupancy the counters (or the service's occupancy model) saw.
@@ -96,15 +79,6 @@ struct AuditRecord {
   double observed = 0.0;
   bool contended = false;
   double time = 0.0;
-};
-
-/// Outcome of one audit, for tests and stats.
-struct TenantVerdict {
-  bool honest = false;
-  bool counted = true;  ///< false: contended lower bound, streaks untouched
-  int rung = 0;         ///< rung AFTER this audit
-  bool rung_changed = false;
-  std::uint64_t credits_granted = 0;
 };
 
 class TenantLedger {
@@ -125,16 +99,31 @@ class TenantLedger {
   static constexpr double kSurcharge = 4.0;
   /// Rung 4: max open (admitted + parked) submissions per tenant.
   static constexpr std::uint64_t kQuotaOutstanding = 2;
+  /// Consecutive divergent audits to climb one rung. A tenant therefore
+  /// needs at least this many audits before any penalty engages — one
+  /// noisy period cannot brand it.
+  static constexpr std::uint32_t kEscalateAfter = 3;
+  /// Consecutive honest audits to descend one rung.
+  static constexpr std::uint32_t kRecoverAfter = 6;
+  /// Bytes of unused honest reservation per credit unit.
+  static constexpr double kCreditUnitBytes = 64.0 * 1024.0;
+  /// Per-tenant credit balance cap (units); grants truncate here so one
+  /// idle tenant cannot bank unbounded burst rights.
+  static constexpr std::uint64_t kCreditCap = 1u << 20;
 
-  explicit TenantLedger(TenantLedgerOptions options = {});
+  /// `sink` receives kPenalty / kCreditGrant / kCreditSpend (non-owning;
+  /// nullptr = tracing off).
+  explicit TenantLedger(obs::TraceSink* sink = nullptr) : sink_(sink) {}
 
   TenantLedger(const TenantLedger&) = delete;
   TenantLedger& operator=(const TenantLedger&) = delete;
 
   /// Audits one completed period and applies its consequences (honesty
-  /// EMA, streaks, rung moves, credit grant). Thread-safe.
-  TenantVerdict audit(std::uint64_t tenant, double declared, double observed,
-                      bool contended, double now);
+  /// EMA, streaks, rung moves, credit grant). Returns false for an audit
+  /// that moves no streak: anonymous or unpriced work, or a contended
+  /// lower bound. Thread-safe.
+  bool audit(std::uint64_t tenant, double declared, double observed,
+             bool contended, double now);
 
   /// Applies a batch of captured audits in audit_seq order (the records
   /// may arrive unsorted — one slice per drain shard; apply() owns the
@@ -185,27 +174,24 @@ class TenantLedger {
   /// cross-K determinism tests compare exactly this.
   std::uint64_t fingerprint() const;
 
-  const TenantLedgerOptions& options() const { return options_; }
-
  private:
   struct TenantState {
     double honesty = 1.0;          ///< decayed EMA of honest verdicts
     double ratio = 1.0;            ///< decayed audited observed/declared
     std::uint32_t audit_count = 0;
-    std::uint32_t divergent_streak = 0;
-    std::uint32_t honest_streak = 0;
-    int rung = 0;
+    /// Penalty rung; worse = divergent audit, better = honest audit.
+    core::EscalationLadder ladder;
     std::uint64_t credits = 0;         ///< outstanding balance (units)
     std::uint64_t granted = 0;         ///< lifetime grants (units)
     std::uint64_t spent = 0;           ///< lifetime spends (units)
   };
 
-  TenantVerdict audit_locked(std::uint64_t tenant, double declared,
-                             double observed, bool contended, double now);
+  bool audit_locked(std::uint64_t tenant, double declared, double observed,
+                    bool contended, double now);
   void trace(obs::EventKind kind, double now, std::uint64_t tenant,
              double demand) const;
 
-  TenantLedgerOptions options_;
+  obs::TraceSink* sink_;
   mutable std::mutex mu_;
   /// Ordered so fingerprint() and iteration are deterministic without a
   /// per-call sort.

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/admission.hpp"
@@ -202,6 +203,115 @@ TEST(Watchdog, DisabledWatchdogNeverEscalates) {
   EXPECT_EQ(core.stats().demand_clamps, 0u);
   EXPECT_EQ(core.stats().rejections, 0u);
   EXPECT_EQ(core.monitor().waitlist().size(), 1u);
+}
+
+/// The watchdog's visible footprint, in order: (kind, thread) of every
+/// kDemandClamp / kForceAdmit / kWake event.
+using Move = std::pair<obs::EventKind, sim::ThreadId>;
+std::vector<Move> watchdog_moves(const obs::EventRecorder& recorder) {
+  std::vector<Move> out;
+  for (const obs::Event& e : recorder.events()) {
+    if (e.kind == obs::EventKind::kDemandClamp ||
+        e.kind == obs::EventKind::kForceAdmit ||
+        e.kind == obs::EventKind::kWake) {
+      out.emplace_back(e.kind, e.thread);
+    }
+  }
+  return out;
+}
+
+// Three waiters reach the round threshold in the same rescan and are
+// escalated in FIFO order: the first is clamped and admitted, the second
+// is clamped and keeps waiting, the third is feasible but starved behind
+// the head-only scan and is force-admitted. The next rescan escalates the
+// clamped waiter again, from rung 1 to rung 2.
+TEST(Watchdog, RoundTriggerEscalatesInFifoOrder) {
+  WatchdogOptions wd;
+  wd.max_wake_rounds = 1;
+  wd.clamp_fraction = 0.5;  // bound = 8 MB on the 16 MB LLC
+  AdmissionConfig config = watchdog_config(wd);
+  config.monitor.work_conserving = false;  // a non-fitting head blocks
+  AdmissionCore core(config);
+  obs::EventRecorder recorder;
+  core.set_trace_sink(&recorder);
+  std::vector<sim::ThreadId> woken;
+  core.set_batch_waker(log_wakes(woken));
+
+  const AdmitTicket h1 = core.admit(request(1, mb(6)), 0.0);
+  const AdmitTicket h2 = core.admit(request(2, mb(4)), 0.01);
+  ASSERT_TRUE(h1.admitted && h2.admitted);
+  ASSERT_FALSE(core.admit(request(3, mb(24)), 0.1).admitted);
+  ASSERT_FALSE(core.admit(request(4, mb(20)), 0.2).admitted);
+  ASSERT_FALSE(core.admit(request(5, mb(8)), 0.3).admitted);
+
+  core.release(h2.id, {}, 1.0);  // one rescan: the head (24 MB) blocks it
+  using K = obs::EventKind;
+  EXPECT_EQ(watchdog_moves(recorder),
+            (std::vector<Move>{{K::kDemandClamp, 3},
+                               {K::kWake, 3},
+                               {K::kDemandClamp, 4},
+                               {K::kForceAdmit, 5},
+                               {K::kWake, 5}}));
+  EXPECT_EQ(woken, (std::vector<sim::ThreadId>{3, 5}));
+  EXPECT_EQ(core.stats().demand_clamps, 2u);
+  EXPECT_EQ(core.stats().watchdog_force_admissions, 1u);
+  EXPECT_EQ(core.stats().forced_admissions, 1u);
+  EXPECT_EQ(core.stats().wakes, 2u);
+  EXPECT_EQ(core.stats().rejections, 0u);
+  EXPECT_EQ(core.monitor().waitlist().size(), 1u);
+  EXPECT_EQ(core.resources().oversubscribed(ResourceKind::kLLC), mb(8));
+
+  core.release(h1.id, {}, 2.0);  // the clamped waiter's next round
+  EXPECT_EQ(watchdog_moves(recorder).size(), 7u);
+  EXPECT_EQ(watchdog_moves(recorder)[5], Move(K::kForceAdmit, 4));
+  EXPECT_EQ(watchdog_moves(recorder)[6], Move(K::kWake, 4));
+  EXPECT_EQ(core.stats().demand_clamps, 2u);
+  EXPECT_EQ(core.stats().watchdog_force_admissions, 2u);
+  EXPECT_EQ(core.stats().wakes, 3u);
+  EXPECT_TRUE(core.monitor().waitlist().empty());
+}
+
+// Two waiters pass max_wait_seconds in the same watchdog_tick and are both
+// escalated, in FIFO order; a later arrival waits for its own deadline,
+// measured from its enqueue, and every deadline restarts at escalation.
+TEST(Watchdog, TimeTriggerEscalatesEveryExpiredWaiterInFifoOrder) {
+  WatchdogOptions wd;
+  wd.max_wake_rounds = 0;
+  wd.max_wait_seconds = 1.0;
+  wd.clamp_fraction = 0.5;
+  AdmissionCore core(watchdog_config(wd));
+  obs::EventRecorder recorder;
+  core.set_trace_sink(&recorder);
+  std::vector<sim::ThreadId> woken;
+  core.set_batch_waker(log_wakes(woken));
+
+  ASSERT_TRUE(core.admit(request(1, mb(10)), 0.0).admitted);
+  ASSERT_FALSE(core.admit(request(2, mb(24)), 0.1).admitted);
+  ASSERT_FALSE(core.admit(request(3, mb(12)), 0.2).admitted);
+  ASSERT_FALSE(core.admit(request(4, mb(7)), 1.5).admitted);
+
+  using K = obs::EventKind;
+  EXPECT_TRUE(core.watchdog_tick(2.0));  // 2 and 3 clamped to 8 MB; parked
+  EXPECT_EQ(watchdog_moves(recorder),
+            (std::vector<Move>{{K::kDemandClamp, 2}, {K::kDemandClamp, 3}}));
+  EXPECT_TRUE(core.watchdog_tick(2.5));  // only 4's deadline has passed
+  EXPECT_TRUE(core.watchdog_tick(3.0));  // 2 and 3 climb to rung 2
+  EXPECT_EQ(watchdog_moves(recorder),
+            (std::vector<Move>{{K::kDemandClamp, 2},
+                               {K::kDemandClamp, 3},
+                               {K::kForceAdmit, 4},
+                               {K::kWake, 4},
+                               {K::kForceAdmit, 2},
+                               {K::kWake, 2},
+                               {K::kForceAdmit, 3},
+                               {K::kWake, 3}}));
+  EXPECT_EQ(woken, (std::vector<sim::ThreadId>{4, 2, 3}));
+  EXPECT_EQ(core.stats().demand_clamps, 2u);
+  EXPECT_EQ(core.stats().watchdog_force_admissions, 3u);
+  EXPECT_EQ(core.stats().forced_admissions, 3u);
+  EXPECT_EQ(core.stats().wakes, 3u);
+  EXPECT_EQ(core.stats().rejections, 0u);
+  EXPECT_FALSE(core.watchdog_tick(10.0));  // nothing parked
 }
 
 TEST(Reclaim, ReapAdmittedOrphanReturnsLoadAndWakesWaiter) {

@@ -15,14 +15,10 @@
 namespace rda::service {
 namespace {
 
-TenantLedgerOptions fast() {
-  TenantLedgerOptions o;
-  o.min_audits = 3;
-  o.escalate_after = 3;
-  o.recover_after = 2;  // quick descents for unit tests
-  o.credit_unit_bytes = 1024.0;
-  return o;
-}
+/// One credit unit of unused reservation, in bytes.
+constexpr double kUnit = TenantLedger::kCreditUnitBytes;
+constexpr int kEscalate = static_cast<int>(TenantLedger::kEscalateAfter);
+constexpr int kRecover = static_cast<int>(TenantLedger::kRecoverAfter);
 
 /// Audits `n` periods for `tenant`, all with the same declared/observed.
 void audit_n(TenantLedger& ledger, std::uint64_t tenant, int n,
@@ -33,7 +29,7 @@ void audit_n(TenantLedger& ledger, std::uint64_t tenant, int n,
 }
 
 TEST(TenantLedger, UnknownTenantIsTrusted) {
-  TenantLedger ledger(fast());
+  TenantLedger ledger;
   EXPECT_EQ(ledger.rung(7), 0);
   EXPECT_DOUBLE_EQ(ledger.honesty(7), 1.0);
   EXPECT_DOUBLE_EQ(ledger.demand_correction(7), 1.0);
@@ -44,25 +40,25 @@ TEST(TenantLedger, UnknownTenantIsTrusted) {
 }
 
 TEST(TenantLedger, AnonymousOrUnpricedWorkIsNotAuditable) {
-  TenantLedger ledger(fast());
-  EXPECT_FALSE(ledger.audit(0, 100.0, 50.0, false, 0.0).counted);
-  EXPECT_FALSE(ledger.audit(5, 0.0, 50.0, false, 0.0).counted);
+  TenantLedger ledger;
+  EXPECT_FALSE(ledger.audit(0, 100.0, 50.0, false, 0.0));
+  EXPECT_FALSE(ledger.audit(5, 0.0, 50.0, false, 0.0));
   EXPECT_EQ(ledger.audits(), 0u);
 }
 
 TEST(TenantLedger, HonestAuditsStayTrustedAndMintCredits) {
-  TenantLedger ledger(fast());
-  // Declared 100KiB, used 80KiB: inside the 30% band, 20KiB unused.
-  audit_n(ledger, 1, 5, 100.0 * 1024.0, 80.0 * 1024.0);
+  TenantLedger ledger;
+  // Declared 100 units, used 80: inside the 30% band, 20 units unused.
+  audit_n(ledger, 1, 5, 100.0 * kUnit, 80.0 * kUnit);
   EXPECT_EQ(ledger.rung(1), 0);
   EXPECT_DOUBLE_EQ(ledger.honesty(1), 1.0);
-  // 20KiB / 1KiB unit = 20 credits per audit, 5 audits.
+  // 20 credits per audit, 5 audits.
   EXPECT_EQ(ledger.credits_balance(1), 100u);
   EXPECT_TRUE(ledger.credits_conserved());
 }
 
 TEST(TenantLedger, DivergentAuditsGrantNothing) {
-  TenantLedger ledger(fast());
+  TenantLedger ledger;
   // Inflated 8x: far outside the band — unused budget must NOT mint.
   audit_n(ledger, 1, 5, 800.0, 100.0);
   EXPECT_EQ(ledger.credits_balance(1), 0u);
@@ -70,11 +66,10 @@ TEST(TenantLedger, DivergentAuditsGrantNothing) {
 }
 
 TEST(TenantLedger, InflatorClimbsTheFullLadder) {
-  TenantLedger ledger(fast());
-  // Each rung needs escalate_after = 3 consecutive divergent audits (the
-  // first rung also satisfies min_audits = 3 on the way).
+  TenantLedger ledger;
+  // Each rung needs kEscalateAfter consecutive divergent audits.
   for (int r = 1; r <= 4; ++r) {
-    audit_n(ledger, 1, 3, 800.0, 100.0);
+    audit_n(ledger, 1, kEscalate, 800.0, 100.0);
     EXPECT_EQ(ledger.rung(1), r);
   }
   // Rung is capped at 4; further divergence cannot push past it.
@@ -95,40 +90,78 @@ TEST(TenantLedger, InflatorClimbsTheFullLadder) {
 }
 
 TEST(TenantLedger, UnderDeclarerIsChargedWhatItTakes) {
-  TenantLedger ledger(fast());
-  audit_n(ledger, 1, 3, 100.0, 600.0);  // takes 6x what it declared
+  TenantLedger ledger;
+  audit_n(ledger, 1, kEscalate, 100.0, 600.0);  // takes 6x what it declared
   EXPECT_EQ(ledger.rung(1), 1);
   EXPECT_NEAR(ledger.demand_correction(1), 6.0, 1e-9);
   // The haircut clamps at correction_max even for wilder lies.
-  audit_n(ledger, 2, 3, 100.0, 100.0 * 1e6);
+  audit_n(ledger, 2, kEscalate, 100.0, 100.0 * 1e6);
   EXPECT_DOUBLE_EQ(ledger.demand_correction(2),
                    TenantLedger::kCorrectionMax);
 }
 
 TEST(TenantLedger, OneNoisyPeriodDoesNotBrandATenant) {
-  TenantLedgerOptions o = fast();
-  o.min_audits = 3;
-  o.escalate_after = 1;  // a single divergent audit would escalate...
-  TenantLedger ledger(o);
-  ledger.audit(1, 800.0, 100.0, false, 0.0);
-  // ...but min_audits has not been met yet.
+  static_assert(TenantLedger::kEscalateAfter > 1);
+  TenantLedger ledger;
+  // Divergent audits one short of the streak leave the tenant trusted...
+  audit_n(ledger, 1, kEscalate - 1, 800.0, 100.0);
   EXPECT_EQ(ledger.rung(1), 0);
+  EXPECT_EQ(ledger.penalties(), 0u);
+  // ...and one honest audit in between restarts the count.
+  ledger.audit(1, 100.0, 100.0, false, 0.0);
+  audit_n(ledger, 1, kEscalate - 1, 800.0, 100.0);
+  EXPECT_EQ(ledger.rung(1), 0);
+  // Only a full streak escalates.
+  ledger.audit(1, 800.0, 100.0, false, 0.0);
+  EXPECT_EQ(ledger.rung(1), 1);
 }
 
 TEST(TenantLedger, HonestBehaviorDescendsTheLadder) {
-  TenantLedger ledger(fast());
-  audit_n(ledger, 1, 12, 800.0, 100.0);  // climb to rung 4
+  TenantLedger ledger;
+  audit_n(ledger, 1, 4 * kEscalate, 800.0, 100.0);  // climb to rung 4
   ASSERT_EQ(ledger.rung(1), 4);
-  // recover_after = 2 honest audits per rung: 8 honest audits walk all the
-  // way back down to trusted.
-  audit_n(ledger, 1, 8, 100.0, 100.0);
+  // kRecoverAfter honest audits per rung: one short of four rungs' worth
+  // leaves the tenant at rung 1; the last walks it back to trusted.
+  audit_n(ledger, 1, 4 * kRecover - 1, 100.0, 100.0);
+  EXPECT_EQ(ledger.rung(1), 1);
+  ledger.audit(1, 100.0, 100.0, false, 0.0);
   EXPECT_EQ(ledger.rung(1), 0);
   EXPECT_DOUBLE_EQ(ledger.demand_correction(1), 1.0);
   EXPECT_TRUE(ledger.within_quota(1, 1'000'000));
 }
 
+// Both ends of the ladder saturate without losing count: the divergent
+// streak keeps running at the top rung and the honest streak at the floor,
+// and fingerprint() mixes both. A ladder that restarted a streak on a
+// refused move would change these pins.
+TEST(TenantLedger, FingerprintIsPinnedThroughSaturation) {
+  TenantLedger ledger;
+  // 20 divergent audits (8x inflation): the top rung at audit 12, then 8
+  // more counted past it.
+  for (int i = 0; i < 20; ++i) {
+    ledger.audit(1, 80.0 * kUnit, 10.0 * kUnit, false, i);
+  }
+  EXPECT_EQ(ledger.rung(1), 4);
+  EXPECT_EQ(ledger.penalties(), 4u);
+  EXPECT_EQ(ledger.fingerprint(), 0xffef972425784f6bull);
+
+  // 40 honest audits, each leaving 2 units unused: the floor at audit 24,
+  // then 16 more counted there. A spend in the middle moves only credits.
+  for (int i = 0; i < 40; ++i) {
+    ledger.audit(1, 10.0 * kUnit, 8.0 * kUnit, false, 20 + i);
+    if (i == 20) {
+      EXPECT_EQ(ledger.spend(1, 5, 40.5), 5u);
+    }
+  }
+  EXPECT_EQ(ledger.rung(1), 0);
+  EXPECT_EQ(ledger.penalties(), 4u);
+  EXPECT_EQ(ledger.credits_balance(1), 75u);
+  EXPECT_TRUE(ledger.credits_conserved());
+  EXPECT_EQ(ledger.fingerprint(), 0xa1fac55857020a6dull);
+}
+
 TEST(TenantLedger, ContendedLowerBoundNeverEscalates) {
-  TenantLedger ledger(fast());
+  TenantLedger ledger;
   // Contended periods whose occupancy stayed below the declaration prove
   // nothing: the tenant may simply have been squeezed. A lifetime of them
   // must not move the ladder — this is the recoverability guarantee.
@@ -137,17 +170,17 @@ TEST(TenantLedger, ContendedLowerBoundNeverEscalates) {
   EXPECT_DOUBLE_EQ(ledger.honesty(1), 1.0);
   // A contended period that still EXCEEDED its declaration is a lie and
   // counts (observed > declared cannot be explained by contention).
-  audit_n(ledger, 1, 3, 100.0, 600.0, /*contended=*/true);
+  audit_n(ledger, 1, kEscalate, 100.0, 600.0, /*contended=*/true);
   EXPECT_EQ(ledger.rung(1), 1);
 }
 
 TEST(TenantLedger, ContendedAuditsDoNotResetAnHonestStreak) {
-  TenantLedger ledger(fast());
-  audit_n(ledger, 1, 12, 800.0, 100.0);  // rung 4
+  TenantLedger ledger;
+  audit_n(ledger, 1, 4 * kEscalate, 800.0, 100.0);  // rung 4
   ASSERT_EQ(ledger.rung(1), 4);
   // Interleave honest audits with contended lower bounds: the streak must
   // survive the uncounted audits, so recovery still happens.
-  for (int i = 0; i < 8; ++i) {
+  for (int i = 0; i < 4 * kRecover; ++i) {
     ledger.audit(1, 100.0, 100.0, false, 0.0);
     ledger.audit(1, 800.0, 100.0, true, 0.0);
   }
@@ -178,23 +211,23 @@ TEST(TenantLedger, SharesTheCorrectorsRatioRule) {
 
   // Ledger: three divergent 2x audits reach the haircut rung, where
   // demand_correction exposes the ratio.
-  TenantLedger ledger(fast());
-  audit_n(ledger, 5, 3, 100.0, 200.0);
+  TenantLedger ledger;
+  audit_n(ledger, 5, kEscalate, 100.0, 200.0);
   ASSERT_EQ(ledger.rung(5), 1);
   ASSERT_DOUBLE_EQ(ledger.demand_correction(5), 2.0);
   // Contended below the declaration: a lower bound, not counted.
-  EXPECT_FALSE(ledger.audit(5, 100.0, 50.0, true, 3.0).counted);
+  EXPECT_FALSE(ledger.audit(5, 100.0, 50.0, true, 3.0));
   EXPECT_DOUBLE_EQ(ledger.demand_correction(5), 2.0);
   // Contended at the declaration: counted, and the ratio decays.
-  EXPECT_TRUE(ledger.audit(5, 100.0, 100.0, true, 4.0).counted);
+  EXPECT_TRUE(ledger.audit(5, 100.0, 100.0, true, 4.0));
   EXPECT_DOUBLE_EQ(ledger.demand_correction(5),
                    2.0 * TenantLedger::kRatioDecay);
 }
 
 TEST(CreditConservation, ExactAcrossGrantsAndSpends) {
-  TenantLedger ledger(fast());
-  audit_n(ledger, 1, 4, 100.0 * 1024.0, 80.0 * 1024.0);  // 80 credits
-  audit_n(ledger, 2, 2, 50.0 * 1024.0, 40.0 * 1024.0);   // 20 credits
+  TenantLedger ledger;
+  audit_n(ledger, 1, 4, 100.0 * kUnit, 80.0 * kUnit);  // 80 credits
+  audit_n(ledger, 2, 2, 50.0 * kUnit, 40.0 * kUnit);   // 20 credits
   EXPECT_EQ(ledger.total_granted(), 100u);
 
   // Spend caps at the balance; the caller learns the deficit.
@@ -210,12 +243,13 @@ TEST(CreditConservation, ExactAcrossGrantsAndSpends) {
 }
 
 TEST(CreditConservation, GrantsTruncateAtTheCap) {
-  TenantLedgerOptions o = fast();
-  o.credit_cap = 25;
-  TenantLedger ledger(o);
-  audit_n(ledger, 1, 3, 100.0 * 1024.0, 80.0 * 1024.0);  // 20/audit, cap 25
-  EXPECT_EQ(ledger.credits_balance(1), 25u);
-  EXPECT_EQ(ledger.total_granted(), 25u);
+  TenantLedger ledger;
+  // One honest audit leaving twice the cap unused grants exactly the cap,
+  // and a second one grants nothing more.
+  const double cap = static_cast<double>(TenantLedger::kCreditCap);
+  audit_n(ledger, 1, 2, 10.0 * cap * kUnit, 8.0 * cap * kUnit);
+  EXPECT_EQ(ledger.credits_balance(1), TenantLedger::kCreditCap);
+  EXPECT_EQ(ledger.total_granted(), TenantLedger::kCreditCap);
   EXPECT_TRUE(ledger.credits_conserved());
 }
 
@@ -228,15 +262,15 @@ TEST(TenantLedger, ApplyOfShardSlicesMatchesSequentialAudits) {
     AuditRecord r;
     r.audit_seq = seq;
     r.tenant = 1 + seq % 5;
-    r.declared = 100.0 * 1024.0;
+    r.declared = 100.0 * kUnit;
     // Mix honest, inflated, and contended-lower-bound periods.
-    r.observed = (seq % 3 == 0) ? 90.0 * 1024.0 : 12.0 * 1024.0;
+    r.observed = (seq % 3 == 0) ? 90.0 * kUnit : 12.0 * kUnit;
     r.contended = seq % 7 == 0;
     r.time = static_cast<double>(seq);
     records.push_back(r);
   }
 
-  TenantLedger sequential(fast());
+  TenantLedger sequential;
   for (const AuditRecord& r : records) {
     sequential.audit(r.tenant, r.declared, r.observed, r.contended, r.time);
   }
@@ -255,7 +289,7 @@ TEST(TenantLedger, ApplyOfShardSlicesMatchesSequentialAudits) {
       merged.insert(merged.end(), slice.begin(), slice.end());
     }
 
-    TenantLedger sharded(fast());
+    TenantLedger sharded;
     sharded.apply(merged);
     EXPECT_EQ(sharded.fingerprint(), sequential.fingerprint())
         << "ledger state diverged at " << shards << " shards";
@@ -268,8 +302,8 @@ TEST(TenantLedger, ApplyOfShardSlicesMatchesSequentialAudits) {
 }
 
 TEST(TenantLedger, FingerprintSeparatesDifferentHistories) {
-  TenantLedger a(fast());
-  TenantLedger b(fast());
+  TenantLedger a;
+  TenantLedger b;
   audit_n(a, 1, 3, 100.0, 100.0);
   audit_n(b, 1, 3, 100.0, 99.0);
   EXPECT_NE(a.fingerprint(), b.fingerprint());
@@ -279,7 +313,7 @@ TEST(TenantLedger, FingerprintSeparatesDifferentHistories) {
 // threads query corrections, quotas, and spend credits. Run under TSan by
 // tier1.sh; the assertions here pin conservation across the race.
 TEST(TenantLedger, ConcurrentAuditVsAdmitStress) {
-  TenantLedger ledger(fast());
+  TenantLedger ledger;
   constexpr int kAuditors = 4;
   constexpr int kAdmitters = 4;
   constexpr int kOpsPerThread = 2'000;
@@ -292,8 +326,8 @@ TEST(TenantLedger, ConcurrentAuditVsAdmitStress) {
       for (int i = 0; i < kOpsPerThread; ++i) {
         const std::uint64_t tenant = 1 + static_cast<std::uint64_t>(i % 8);
         const bool lie = (i + a) % 4 == 0;
-        ledger.audit(tenant, 100.0 * 1024.0,
-                     lie ? 10.0 * 1024.0 : 90.0 * 1024.0, i % 5 == 0,
+        ledger.audit(tenant, 100.0 * kUnit,
+                     lie ? 10.0 * kUnit : 90.0 * kUnit, i % 5 == 0,
                      static_cast<double>(i));
       }
     });
