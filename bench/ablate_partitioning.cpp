@@ -35,7 +35,6 @@ Outcome run_hog_scenario(bool partition) {
   core::RdaOptions options;
   options.policy = core::PolicyKind::kStrict;
   options.partitioning.enable = partition;
-  options.partitioning.streaming_fraction = 0.10;
   core::RdaScheduler gate(static_cast<double>(cfg.machine.llc_bytes),
                           cfg.calib, options);
   engine.set_gate(&gate);

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "exp/harness.hpp"
 #include "profiler/multi_granularity.hpp"
 #include "profiler/pipeline.hpp"
 #include "profiler/reuse_distance.hpp"
@@ -76,33 +77,18 @@ rda::trace::LoopNest make_nest() {
 
 int main(int argc, char** argv) {
   using namespace rda;
-  auto arg_u64 = [&](const std::string& key,
-                     std::uint64_t fallback) -> std::uint64_t {
-    for (int i = 1; i + 1 < argc; ++i) {
-      if (key == argv[i]) return std::strtoull(argv[i + 1], nullptr, 10);
-    }
-    return fallback;
-  };
-  auto arg_double = [&](const std::string& key, double fallback) {
-    for (int i = 1; i + 1 < argc; ++i) {
-      if (key == argv[i]) return std::strtod(argv[i + 1], nullptr);
-    }
-    return fallback;
-  };
-  auto arg_str = [&](const std::string& key, std::string fallback) {
-    for (int i = 1; i + 1 < argc; ++i) {
-      if (key == argv[i]) return std::string(argv[i + 1]);
-    }
-    return fallback;
-  };
-
-  const std::uint64_t records = arg_u64("--records", 8'000'000);
-  const int jobs = static_cast<int>(arg_u64("--jobs", 4));
-  const double sample_rate = arg_double("--sample-rate", 0.01);
-  const int levels = static_cast<int>(arg_u64("--levels", 4));
+  const std::uint64_t records =
+      exp::parse_u64_flag(argc, argv, "--records", 8'000'000);
+  const int jobs =
+      static_cast<int>(exp::parse_u64_flag(argc, argv, "--jobs", 4));
+  const double sample_rate =
+      exp::parse_double_flag(argc, argv, "--sample-rate", 0.01);
+  const int levels =
+      static_cast<int>(exp::parse_u64_flag(argc, argv, "--levels", 4));
   const std::string trace_path =
-      arg_str("--trace", "micro_profiler.rdatrc");
-  const std::string out_path = arg_str("--out", "BENCH_profiler.json");
+      exp::parse_string_flag(argc, argv, "--trace", "micro_profiler.rdatrc");
+  const std::string out_path =
+      exp::parse_string_flag(argc, argv, "--out", "BENCH_profiler.json");
 
   const trace::LoopNest nest = make_nest();
 

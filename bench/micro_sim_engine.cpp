@@ -191,27 +191,15 @@ double lru_miss_ratio(double ws_mb, bool with_polluter,
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto arg_u64 = [&](const std::string& key,
-                     std::uint64_t fallback) -> std::uint64_t {
-    for (int i = 1; i + 1 < argc; ++i) {
-      if (key == argv[i]) return std::strtoull(argv[i + 1], nullptr, 10);
-    }
-    return fallback;
-  };
-  auto arg_str = [&](const std::string& key, std::string fallback) {
-    for (int i = 1; i + 1 < argc; ++i) {
-      if (key == argv[i]) return std::string(argv[i + 1]);
-    }
-    return fallback;
-  };
-
-  const int reps = static_cast<int>(arg_u64("--reps", 5));
+  const int reps =
+      static_cast<int>(exp::parse_u64_flag(argc, argv, "--reps", 5));
   const int host_cores =
       static_cast<int>(std::thread::hardware_concurrency());
-  const int jobs = static_cast<int>(
-      arg_u64("--jobs", static_cast<std::uint64_t>(
-                            std::min(8, std::max(1, host_cores)))));
-  const std::string out_path = arg_str("--out", "BENCH_sim.json");
+  const int jobs = static_cast<int>(exp::parse_u64_flag(
+      argc, argv, "--jobs",
+      static_cast<std::uint64_t>(std::min(8, std::max(1, host_cores)))));
+  const std::string out_path =
+      exp::parse_string_flag(argc, argv, "--out", "BENCH_sim.json");
 
   // Engine scenarios.
   const EngineRun heavy = best_of(

@@ -12,7 +12,7 @@
 //     the ungated control proves the cap actually binds (it draws ~3x).
 //   * Mixed workload: 6 LLC-heavy + 6 streaming periods. LLC-only
 //     admission (the paper's predicate) sees the streams' tiny working
-//     sets and co-schedules all of them; the all-must-fit combiner also
+//     sets and co-schedules all of them; multi-resource admission also
 //     sees their DRAM appetite and keeps the memory system at its limit
 //     instead of past it — surplus cores idle, same work, less energy, so
 //     GFLOPS/W must improve by at least 5%.
@@ -105,8 +105,8 @@ Outcome run_power_cell(bool capped, double flops) {
 
 /// 6 LLC-heavy periods (4 MB hot sets) + 6 streams (0.6 MB sets, 10 GB/s
 /// appetite each against the 30 GB/s memory system). LLC-only admission
-/// co-schedules every stream; the combiner holds streams to the machine's
-/// bandwidth.
+/// co-schedules every stream; multi-resource admission holds streams to the
+/// machine's bandwidth.
 Outcome run_mixed_cell(bool multi_resource, double flops) {
   sim::EngineConfig cfg;
   cfg.machine = sim::MachineConfig::e5_2420();

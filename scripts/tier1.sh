@@ -22,7 +22,7 @@ if [[ "$run_tsan" == 1 ]]; then
     --target runtime_test core_test integration_test profiler_test trace_test \
              fault_test service_test
   ( cd build-tsan && ctest \
-      -R 'AdmissionGate|AdmissionCore|AdmissionParity|ContendedStress|Sharding|GateRace|ProfilePipeline|TraceArena|MatrixDeterminism|FaultGate|FaultScenario|Watchdog|Reclaim|ServiceRace|ServicePump|ShardMailbox|SubmissionQueue|TenantLedger|Adversary|Credit' \
+      -R 'AdmissionGate|AdmissionCore|AdmissionParity|ContendedStress|Sharding|GateRace|Combiner|ProfilePipeline|TraceArena|MatrixDeterminism|FaultGate|FaultScenario|Watchdog|Reclaim|ServiceRace|ServicePump|ShardMailbox|SubmissionQueue|TenantLedger|Adversary|Credit' \
       --output-on-failure -j "$(nproc)" )
 
   echo "== tier-1: admission core/gate/waitlist + feedback/cluster + fault/recovery tests under ASan+UBSan =="
@@ -31,7 +31,7 @@ if [[ "$run_tsan" == 1 ]]; then
     --target runtime_test core_test integration_test fault_test trace_test \
              util_test service_test cluster_test
   ( cd build-asan && ctest \
-      -R 'AdmissionGate|AdmissionCore|AdmissionParity|ContendedStress|Sharding|GateRace|Waitlist|WakeStrategy|FaultInjector|FaultScenario|FaultGate|Watchdog|EscalationLadder|Reclaim|TraceCorrupt|AtomicFile|ServiceRace|ServicePump|ServiceFrontEnd|ShardHash|ShardMailbox|Arrival|SubmissionQueue|TenantLedger|Adversary|Credit|Feedback|DemandCorrector|Cluster' \
+      -R 'AdmissionGate|AdmissionCore|AdmissionParity|ContendedStress|Sharding|GateRace|Combiner|MultiResource\.|Waitlist|WakeStrategy|FaultInjector|FaultScenario|FaultGate|Watchdog|EscalationLadder|Reclaim|TraceCorrupt|AtomicFile|ServiceRace|ServicePump|ServiceFrontEnd|ShardHash|ShardMailbox|Arrival|SubmissionQueue|TenantLedger|Adversary|Credit|Feedback|DemandCorrector|Cluster' \
       --output-on-failure -j "$(nproc)" )
 fi
 
@@ -120,7 +120,7 @@ cmp "$smoke_dir/par1.csv" "$smoke_dir/serial.csv"
 
 echo "== tier-1: power-cap smoke (multi-resource gates + determinism) =="
 # Quick energy-cap + mixed-workload cells: the watts budget must hold, the
-# LLC+bandwidth combiner must beat LLC-only on GFLOPS/W, and the CSV must
+# multi-resource admission must beat LLC-only on GFLOPS/W, and the CSV must
 # be byte-identical regardless of --jobs fan-out.
 build/bench/power_cap --quick --csv --jobs "$(nproc)" > "$smoke_dir/power_par.csv"
 build/bench/power_cap --quick --csv --jobs 1 > "$smoke_dir/power_serial.csv"

@@ -40,8 +40,8 @@ void pp_configure(const rt::GateConfig& config);
 rt::AdmissionGate& pp_gate();
 
 /// Begins a multi-resource progress period: every declared {resource,
-/// amount} pair is admitted atomically (all-or-nothing) under the gate's
-/// combining policy. Blocks until admitted. Returns the unique period id.
+/// amount} pair is admitted atomically (all-or-nothing: every row must fit
+/// its bound). Blocks until admitted. Returns the unique period id.
 /// The demands are copied into the calling thread's recycled buffer, so a
 /// steady-state begin/end pair allocates nothing.
 core::PeriodId pp_begin(std::span<const core::ResourceDemand> demands,

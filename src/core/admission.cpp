@@ -8,42 +8,18 @@
 
 namespace rda::core {
 
-namespace {
-
-PolicyTable build_policy_table(
-    const AdmissionConfig& config, const SchedulingPolicy& default_policy,
-    std::vector<std::unique_ptr<SchedulingPolicy>>& owned) {
-  PolicyTable table;
-  table.fill(&default_policy);
-  for (const PerResourcePolicy& pr : config.resource_policies) {
-    owned.push_back(make_policy(pr.policy, pr.oversubscription));
-    table[static_cast<std::size_t>(pr.resource)] = owned.back().get();
-  }
-  return table;
-}
-
-}  // namespace
-
 AdmissionCore::AdmissionCore(AdmissionConfig config)
     : config_(config),
       policy_(make_policy(config.policy, config.oversubscription)),
-      policy_table_(
-          build_policy_table(config_, *policy_, override_policies_)),
-      combiner_(make_combiner(config_.combiner)),
-      combiner_calm_(config_.combiner.kind == CombinerKind::kAllMustFit),
-      predicate_(policy_table_, *combiner_, resources_),
+      predicate_(*policy_, resources_),
       monitor_(predicate_, resources_, config.monitor),
       corrector_(config.feedback) {
-  // Each configured resource's budget is bounded by ITS OWN policy, so e.g.
-  // a Compromise LLC coexists with a Strict watts budget. Unconfigured
-  // kinds keep a zero budget — callers only declare demands on configured
-  // resources.
+  // Every configured resource's budget is the one policy's bound on its
+  // capacity. Unconfigured kinds keep a zero budget — callers only declare
+  // demands on configured resources.
   const auto configure = [&](ResourceKind kind, double capacity) {
     resources_.set_capacity(kind, capacity);
-    resources_.set_admission_bound(
-        kind,
-        policy_table_[static_cast<std::size_t>(kind)]->admission_bound(
-            capacity));
+    resources_.set_admission_bound(kind, policy_->admission_bound(capacity));
   };
   configure(ResourceKind::kLLC, config_.llc_capacity_bytes);
   if (config_.bandwidth_capacity > 0.0) {
@@ -77,7 +53,7 @@ bool AdmissionCore::partition_on_entry(ResourceDemand& primary,
       primary.amount <= resources_.capacity(ResourceKind::kLLC)) {
     return false;
   }
-  ticket.occupancy_cap = config_.partitioning.streaming_fraction *
+  ticket.occupancy_cap = PartitionOptions::kStreamingFraction *
                          resources_.capacity(ResourceKind::kLLC);
   primary.amount = ticket.occupancy_cap;
   return true;
@@ -103,21 +79,10 @@ bool AdmissionCore::fast_admit(AdmitRequest& request, LazyTime& now,
   const std::uint32_t shard = shard_of_thread(request.thread);
   ShardSlot& slot = slots_[shard];
 
-  // Claim the budget demand by demand; any shortfall rolls back every
-  // partial claim and routes the decision to the slow lane (which can
-  // park us — the fast lane never parks anybody).
-  std::size_t acquired = 0;
-  for (; acquired < request.demands.size(); ++acquired) {
-    const ResourceDemand& d = request.demands[acquired];
-    if (!resources_.try_acquire(d.resource, d.amount, shard)) break;
-  }
-  if (acquired < request.demands.size()) {
-    for (std::size_t j = 0; j < acquired; ++j) {
-      resources_.decrement_load(request.demands[j].resource,
-                                request.demands[j].amount, shard);
-    }
-    return false;
-  }
+  // The predicate claims the budget row by row; a denial has rolled back
+  // every partial claim and routes the decision to the slow lane (which
+  // can park us — the fast lane never parks anybody).
+  if (!predicate_.try_schedule(request.demands, shard)) return false;
 
   PeriodRecord record;
   record.thread = request.thread;
@@ -199,7 +164,7 @@ AdmitTicket AdmissionCore::slow_admit_locked(AdmitRequest request, double now,
     }
     if (config_.partitioning.enable &&
         primary.amount > resources_.capacity(ResourceKind::kLLC)) {
-      ticket.occupancy_cap = config_.partitioning.streaming_fraction *
+      ticket.occupancy_cap = PartitionOptions::kStreamingFraction *
                              resources_.capacity(ResourceKind::kLLC);
       primary.amount = ticket.occupancy_cap;
       partitioned = true;

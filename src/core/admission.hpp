@@ -25,6 +25,12 @@
 //     mutex, exactly as the pre-shard core did — byte-for-byte identical
 //     traces and stats when calls are serialized.
 //
+// Both lanes decide with the one SchedulingPredicate: Algorithm 1 on every
+// row of the period's demand vector under the configured policy, admitted
+// only when every row fits. The fast lane runs its per-row budget CAS; the
+// slow lane runs the same call under the mutex, where would_admit ⇒
+// try_schedule holds for the waitlist rescan.
+//
 // The lanes hand off via a Dekker-style handshake on seq_cst atomics: a
 // parking thread publishes its waitlist entry and then re-reads the budget
 // (begin_period's second look); a fast release returns its budget and then
@@ -69,19 +75,11 @@ namespace rda::core {
 ///  give this application only a small portion ... because it would fetch
 ///  most data from main memory regardless."
 struct PartitionOptions {
-  bool enable = false;
   /// Fraction of LLC capacity granted to a larger-than-LLC period. The
   /// period is admitted with this reduced charge and confined to it, so
   /// normal periods co-run instead of waiting behind it.
-  double streaming_fraction = 0.10;
-};
-
-/// Per-resource bound override: one resource kind running a different
-/// Strict/Compromise configuration than the core-wide default.
-struct PerResourcePolicy {
-  ResourceKind resource = ResourceKind::kLLC;
-  PolicyKind policy = PolicyKind::kStrict;
-  double oversubscription = 2.0;
+  static constexpr double kStreamingFraction = 0.10;
+  bool enable = false;
 };
 
 struct AdmissionConfig {
@@ -94,17 +92,11 @@ struct AdmissionConfig {
   /// (watts) becomes a gated resource — periods declaring kEnergyBudget
   /// demands are throttled to hold the cap.
   double energy_capacity_watts = 0.0;
+  /// The one bound policy of every configured resource; a period is
+  /// admitted only when each of its declared demands fits.
   PolicyKind policy = PolicyKind::kStrict;
   /// Oversubscription factor x for RDA:Compromise (paper uses 2).
   double oversubscription = 2.0;
-  /// Per-resource overrides of the default bound policy above (e.g. LLC on
-  /// Compromise while the watts budget stays Strict). At most one entry per
-  /// resource kind; later entries win.
-  std::vector<PerResourcePolicy> resource_policies;
-  /// How per-resource verdicts fold into one admission decision. Anything
-  /// but all-must-fit forces every call through the slow lane (the
-  /// lock-free budget CAS can only express per-resource hard fits).
-  CombinerOptions combiner{};
   PartitionOptions partitioning{};
   /// Counter-feedback extension: correct declared demands from observed
   /// per-period hardware counters. Forces every call through the slow lane
@@ -357,10 +349,6 @@ class AdmissionCore {
   const ResourceMonitor& resources() const { return resources_; }
   const ProgressMonitor& monitor() const { return monitor_; }
   const SchedulingPolicy& policy() const { return *policy_; }
-  const SchedulingPolicy& policy(ResourceKind kind) const {
-    return *policy_table_[static_cast<std::size_t>(kind)];
-  }
-  const CombiningPolicy& combiner() const { return *combiner_; }
   const DemandCorrector& corrector() const { return corrector_; }
 
  private:
@@ -372,11 +360,12 @@ class AdmissionCore {
     std::atomic<std::uint64_t> ends{0};
   };
 
-  /// True when the lock-free lane may decide alone: all-must-fit combining,
-  /// no injector, no feedback, nobody parked, no pool disabled. Reads two
-  /// seq_cst atomics.
+  /// True when the lock-free lane may decide alone: no injector, no
+  /// feedback, nobody parked, no pool disabled. The predicate itself never
+  /// forces the slow lane — its per-row budget CAS is the same rule on both
+  /// lanes. Reads two seq_cst atomics.
   bool calm() const {
-    return combiner_calm_ && config_.fault_injector == nullptr &&
+    return config_.fault_injector == nullptr &&
            !config_.feedback.enable &&
            monitor_.waitlist().size() == 0 &&
            monitor_.disabled_pool_count() == 0;
@@ -414,14 +403,6 @@ class AdmissionCore {
 
   AdmissionConfig config_;
   std::unique_ptr<SchedulingPolicy> policy_;
-  /// Owned per-resource override policies (resource_policies entries).
-  std::vector<std::unique_ptr<SchedulingPolicy>> override_policies_;
-  /// Per-kind bound policies; kinds without an override point at policy_.
-  PolicyTable policy_table_{};
-  std::unique_ptr<CombiningPolicy> combiner_;
-  /// Precomputed: the configured combiner admits via per-resource hard
-  /// fits, so the lock-free lane's budget CAS expresses it exactly.
-  bool combiner_calm_ = true;
   ResourceMonitor resources_;
   SchedulingPredicate predicate_;
   ProgressMonitor monitor_;

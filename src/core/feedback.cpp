@@ -9,8 +9,6 @@ namespace rda::core {
 DemandCorrector::DemandCorrector(FeedbackOptions options)
     : options_(options) {
   RDA_CHECK(options_.decay > 0.0 && options_.decay <= 1.0);
-  RDA_CHECK(options_.min_correction > 0.0);
-  RDA_CHECK(options_.max_correction >= options_.min_correction);
 }
 
 double DemandCorrector::correction(const std::string& label,
@@ -20,8 +18,8 @@ double DemandCorrector::correction(const std::string& label,
   if (it == states_.end()) return 1.0;
   const State& state = it->second[static_cast<std::size_t>(kind)];
   if (state.samples < options_.min_samples) return 1.0;
-  return std::clamp(state.ratio, options_.min_correction,
-                    options_.max_correction);
+  return std::clamp(state.ratio, FeedbackOptions::kMinCorrection,
+                    FeedbackOptions::kMaxCorrection);
 }
 
 void DemandCorrector::observe(const std::string& label, ResourceKind kind,

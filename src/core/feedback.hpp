@@ -55,8 +55,8 @@ struct FeedbackOptions {
   /// may simply have been unable to grow its occupancy).
   double decay = 0.90;
   /// Clamp on the correction factor.
-  double min_correction = 0.25;
-  double max_correction = 4.0;
+  static constexpr double kMinCorrection = 0.25;
+  static constexpr double kMaxCorrection = 4.0;
   /// Observations required before a correction is applied (per kind).
   std::uint32_t min_samples = 2;
 };

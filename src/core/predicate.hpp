@@ -7,9 +7,15 @@
 //     if runnable then increment_load(pp.demand); schedule(get_process(pp))
 //     else waitlist(pp)
 //
-// This class is the pure decision + load update; queueing the loser is the
-// progress monitor's job.
+// A period declares a vector of {resource, amount} demands; Algorithm 1 runs
+// on each row under the one configured policy, and the period is admitted
+// only when every row fits. This class is the pure decision + load update;
+// queueing the loser is the progress monitor's job.
 #pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "core/policy.hpp"
 #include "core/registry.hpp"
@@ -19,62 +25,59 @@ namespace rda::core {
 
 class SchedulingPredicate {
  public:
-  /// Non-owning references; both must outlive the predicate. Every resource
-  /// kind gets `policy` as its bound and admission combines all-must-fit.
+  /// Non-owning references; both must outlive the predicate.
   SchedulingPredicate(const SchedulingPolicy& policy,
                       ResourceMonitor& resources)
-      : resources_(&resources), combiner_(&default_combiner()) {
-    policies_.fill(&policy);
-  }
+      : policy_(&policy), resources_(&resources) {}
 
-  /// Per-resource bounds + pluggable combiner. `policies` entries must be
-  /// non-null and, like `combiner` and `resources`, outlive the predicate.
-  SchedulingPredicate(const PolicyTable& policies,
-                      const CombiningPolicy& combiner,
-                      ResourceMonitor& resources)
-      : policies_(policies), resources_(&resources), combiner_(&combiner) {}
-
-  /// Algorithm 1, generalized to multi-resource periods: the combiner folds
-  /// the per-resource verdicts into one decision and, on admit, charges the
-  /// whole demand vector atomically (exact rollback on deny).
+  /// Algorithm 1 on every row, with an all-or-nothing charge: on admit each
+  /// declared demand is charged on `stripe` (reversible by one
+  /// decrement_load per demand); on deny the load table is exactly as it
+  /// was (partial claims rolled back).
   ///
-  /// For all-must-fit: apply_policy(remaining − demand) ⟺ usage + demand ≤
-  /// admission_bound for every shipped policy (Strict: bound = capacity;
-  /// Compromise: x·capacity; AlwaysAdmit: +inf), so the check-then-increment
-  /// is expressed as an atomic budget acquisition on the period's stripe —
-  /// the same code path whether the caller holds the slow-lane lock or is
-  /// racing through the lock-free lane. The other combiners are slow-lane
-  /// only (AdmissionCore::calm() gates them off the lock-free path).
+  /// apply_policy(remaining − demand) ⟺ usage + demand ≤ admission_bound for
+  /// every shipped policy (Strict: bound = capacity; Compromise:
+  /// x·capacity; AlwaysAdmit: +inf), so the check-then-increment is an
+  /// atomic budget acquisition per row — the same code whether the caller
+  /// holds the slow-lane lock or is racing through the lock-free lane.
+  bool try_schedule(const std::vector<ResourceDemand>& demands,
+                    std::uint32_t stripe) {
+    for (std::size_t i = 0; i < demands.size(); ++i) {
+      if (!resources_->try_acquire(demands[i].resource, demands[i].amount,
+                                   stripe)) {
+        for (std::size_t j = 0; j < i; ++j) {
+          resources_->decrement_load(demands[j].resource, demands[j].amount,
+                                     stripe);
+        }
+        return false;
+      }
+    }
+    return true;
+  }
   bool try_schedule(const PeriodRecord& pp) {
-    return combiner_->try_schedule(pp.demands, pp.stripe, *resources_,
-                                   policies_);
+    return try_schedule(pp.demands, pp.stripe);
   }
 
-  /// Vector decision only, no load change — used for group (thread-pool)
-  /// checks, where the pool's summed per-resource demands are the vector.
+  /// Decision only, no load change: the check try_schedule performs. Used
+  /// by wake strategies to enumerate fitting waitlist candidates and for
+  /// group (thread-pool) checks, where the pool's summed per-resource
+  /// demands are the vector. A pure read that never passes where a
+  /// serialized try_schedule against the same state would fail — the
+  /// rescan relies on would_admit ⇒ try_schedule under the slow-lane lock.
   bool would_admit(const std::vector<ResourceDemand>& demands) const {
-    return combiner_->would_admit(demands, *resources_, policies_);
+    for (const ResourceDemand& d : demands) {
+      const ResourceState& res = resources_->state(d.resource);
+      if (!policy_->allow(res.remaining() - d.amount, res)) return false;
+    }
+    return true;
   }
-
-  /// Multi-resource decision only: the exact check try_schedule performs,
-  /// without the load charge — used by wake strategies to enumerate fitting
-  /// waitlist candidates before committing to one.
   bool would_admit(const PeriodRecord& pp) const {
-    return combiner_->would_admit(pp.demands, *resources_, policies_);
+    return would_admit(pp.demands);
   }
-
-  const SchedulingPolicy& policy() const {
-    return *policies_[static_cast<std::size_t>(ResourceKind::kLLC)];
-  }
-  const SchedulingPolicy& policy(ResourceKind kind) const {
-    return *policies_[static_cast<std::size_t>(kind)];
-  }
-  const CombiningPolicy& combiner() const { return *combiner_; }
 
  private:
-  PolicyTable policies_{};
+  const SchedulingPolicy* policy_;
   ResourceMonitor* resources_;
-  const CombiningPolicy* combiner_;
 };
 
 }  // namespace rda::core

@@ -97,7 +97,7 @@ bool ProgressMonitor::try_admit_pool(sim::ProcessId process, bool force,
   }
   if (!force) {
     // The pool admits as one aggregate period: its summed per-resource
-    // demands form a vector the combiner judges exactly like a single
+    // demands form a vector the predicate judges exactly like a single
     // period's.
     std::vector<ResourceDemand> group_demand;
     for (std::size_t r = 0; r < kNumResourceKinds; ++r) {

@@ -14,8 +14,6 @@ AdmissionConfig to_core_config(double llc_capacity_bytes,
   config.energy_capacity_watts = options.energy_capacity_watts;
   config.policy = options.policy;
   config.oversubscription = options.oversubscription;
-  config.resource_policies = options.resource_policies;
-  config.combiner = options.combiner;
   config.partitioning = options.partitioning;
   config.feedback = options.feedback;
   config.monitor = options.monitor;

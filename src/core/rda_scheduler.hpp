@@ -37,10 +37,6 @@ struct RdaOptions {
   /// the sum of admitted watts holds the cap (fig10's GFLOPS/W machinery
   /// provides the ground truth).
   double energy_capacity_watts = 0.0;
-  /// Per-resource bound overrides + demand-vector combining policy; see
-  /// core::AdmissionConfig.
-  std::vector<PerResourcePolicy> resource_policies;
-  CombinerOptions combiner{};
   /// Counter-feedback extension: correct declared demands from observed
   /// per-period hardware counters.
   FeedbackOptions feedback{};

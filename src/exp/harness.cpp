@@ -1,19 +1,10 @@
 #include "exp/harness.hpp"
 
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 
-namespace rda::exp {
+#include "util/number.hpp"
 
-int parse_jobs(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0) {
-      return util::resolve_jobs(std::atoi(argv[i + 1]));
-    }
-  }
-  return 1;
-}
+namespace rda::exp {
 
 namespace {
 
@@ -27,16 +18,24 @@ const char* flag_value(int argc, char** argv, const std::string& key) {
 
 }  // namespace
 
+int parse_jobs(int argc, char** argv) {
+  const char* value = flag_value(argc, argv, "--jobs");
+  return value ? util::resolve_jobs(
+                     util::parse_number_or_exit<int>("--jobs", value))
+               : 1;
+}
+
 std::uint64_t parse_u64_flag(int argc, char** argv, const std::string& key,
                              std::uint64_t fallback) {
   const char* value = flag_value(argc, argv, key);
-  return value ? std::strtoull(value, nullptr, 10) : fallback;
+  return value ? util::parse_number_or_exit<std::uint64_t>(key, value)
+               : fallback;
 }
 
 double parse_double_flag(int argc, char** argv, const std::string& key,
                          double fallback) {
   const char* value = flag_value(argc, argv, key);
-  return value ? std::strtod(value, nullptr) : fallback;
+  return value ? util::parse_number_or_exit<double>(key, value) : fallback;
 }
 
 std::string parse_string_flag(int argc, char** argv, const std::string& key,

@@ -62,12 +62,15 @@ RunRow run_workload(const workload::WorkloadSpec& spec,
 
 /// Parses a `--jobs N` flag out of argv (N == 0 or negative means one job
 /// per hardware thread). Returns 1 when the flag is absent — experiment
-/// binaries stay serial unless parallelism is requested.
+/// binaries stay serial unless parallelism is requested. A value that is
+/// not an integer exits with status 2, like the parsers below.
 int parse_jobs(int argc, char** argv);
 
 /// `--key value` flag parsers shared by the bench/tool binaries (every
 /// binary used to hand-roll the same argv scan). The last occurrence wins;
-/// `fallback` is returned when the flag is absent or has no value.
+/// `fallback` is returned when the flag is absent or has no value. A value
+/// that is not a number of the flag's type (see util::parse_number_or_exit)
+/// prints an error and exits with status 2.
 std::uint64_t parse_u64_flag(int argc, char** argv, const std::string& key,
                              std::uint64_t fallback);
 double parse_double_flag(int argc, char** argv, const std::string& key,

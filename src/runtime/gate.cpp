@@ -9,23 +9,6 @@ namespace rda::rt {
 
 namespace {
 
-core::AdmissionConfig to_core_config(const GateConfig& config) {
-  core::AdmissionConfig c;
-  c.llc_capacity_bytes = config.llc_capacity_bytes;
-  c.bandwidth_capacity = config.bandwidth_capacity;
-  c.energy_capacity_watts = config.energy_capacity_watts;
-  c.policy = config.policy;
-  c.oversubscription = config.oversubscription;
-  c.resource_policies = config.resource_policies;
-  c.combiner = config.combiner;
-  c.partitioning = config.partitioning;
-  c.feedback = config.feedback;
-  c.monitor = config.monitor;
-  c.trace_sink = config.trace_sink;
-  c.fault_injector = config.fault_injector;
-  return c;
-}
-
 void atomic_add(std::atomic<double>& target, double delta) {
   double cur = target.load(std::memory_order_relaxed);
   while (!target.compare_exchange_weak(cur, cur + delta,
@@ -80,7 +63,7 @@ void arm_thread_exit_guard(std::uint32_t tid) {
 
 AdmissionGate::AdmissionGate(GateConfig config)
     : config_(config),
-      core_(to_core_config(config)),
+      core_(config),
       epoch_(std::chrono::steady_clock::now()) {
   // The kernel wake event: flag each granted thread and ping the sleepers
   // once per batch. The core invokes this AFTER releasing its slow mutex,
@@ -395,7 +378,7 @@ AdmissionGate::WaitOutcome AdmissionGate::hardened_wait(
         wait_slices_.fetch_add(1, std::memory_order_relaxed);
       }
     }
-    slice = std::min(slice * config_.retry.backoff_multiplier,
+    slice = std::min(slice * RetryOptions::kBackoffMultiplier,
                      config_.retry.max_slice_seconds);
   }
 }

@@ -64,38 +64,17 @@ class AdmissionRejected : public std::runtime_error {
 /// fate every slice instead of trusting a single notification, so a lost or
 /// delayed wake degrades latency instead of hanging the caller.
 struct RetryOptions {
+  /// Each slice is this many times the previous one, up to the max.
+  static constexpr double kBackoffMultiplier = 2.0;
   double initial_slice_seconds = 0.0005;
-  double backoff_multiplier = 2.0;
   double max_slice_seconds = 0.05;
 };
 
-struct GateConfig {
-  /// LLC capacity the admission decisions are made against.
-  double llc_capacity_bytes = 15360.0 * 1024.0;  // paper Table 1 default
-  /// Multi-resource extension: when > 0, DRAM bandwidth (bytes/second)
-  /// becomes a second gated resource (used via begin_multi).
-  double bandwidth_capacity = 0.0;
-  /// Multi-resource extension: when > 0, a package power budget (watts)
-  /// becomes a gated resource (kEnergyBudget demands via begin_multi).
-  double energy_capacity_watts = 0.0;
-  core::PolicyKind policy = core::PolicyKind::kStrict;
-  double oversubscription = 2.0;
-  /// Per-resource bound overrides + demand-vector combining policy; see
-  /// core::AdmissionConfig.
-  std::vector<core::PerResourcePolicy> resource_policies;
-  core::CombinerOptions combiner{};
-  /// §6 streaming partitioning for larger-than-LLC working sets.
-  core::PartitionOptions partitioning{};
-  /// Counter-feedback demand correction (fed via end(id, observation)).
-  core::FeedbackOptions feedback{};
-  core::MonitorOptions monitor{};
-  /// Admission-lifecycle event sink (non-owning; nullptr = tracing off).
-  /// Events are stamped with gate-epoch seconds.
-  obs::TraceSink* trace_sink = nullptr;
-  /// Fault injection (non-owning; nullptr = off). The gate consults kWake
-  /// when delivering a grant (lost/delayed wake); the core consults kRelease
-  /// (corrupted counters). Attaching one switches waits to sliced mode.
-  fault::FaultInjector* fault_injector = nullptr;
+/// The core's configuration plus the gate's own wait knobs. On the gate,
+/// trace events are stamped with gate-epoch seconds, and an attached fault
+/// injector is also consulted on kWake when a grant is delivered (lost or
+/// delayed wakes), which switches waits to sliced mode.
+struct GateConfig : core::AdmissionConfig {
   /// Reap whatever period the calling thread still holds when it exits
   /// (thread_local guard armed on the thread's first begin). Off by default:
   /// the guard registers the gate in a process-wide registry.

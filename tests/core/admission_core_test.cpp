@@ -141,17 +141,18 @@ TEST(AdmissionCore, PartitioningCapsStreamingDemand) {
   AdmissionConfig config;
   config.llc_capacity_bytes = mb(16);
   config.partitioning.enable = true;
-  config.partitioning.streaming_fraction = 0.25;
   AdmissionCore core(config);
+  // The streaming fraction (0.10) of the 16 MB LLC: 1.6 MB.
+  const double cap = PartitionOptions::kStreamingFraction * mb(16);
 
   const AdmitTicket t = core.admit(request(1, mb(64)), 0.0);
   EXPECT_TRUE(t.admitted);
-  EXPECT_EQ(t.occupancy_cap, mb(4));
+  EXPECT_EQ(t.occupancy_cap, cap);
   EXPECT_EQ(core.partitioned_periods(), 1u);
-  EXPECT_EQ(core.resources().usage(ResourceKind::kLLC), mb(4));
+  EXPECT_EQ(core.resources().usage(ResourceKind::kLLC), cap);
   // The registry holds the capped charge but remembers the declaration.
   const ReleaseTicket r = core.release(t.id, {}, 1.0);
-  EXPECT_EQ(r.record.primary_demand(), mb(4));
+  EXPECT_EQ(r.record.primary_demand(), cap);
   EXPECT_EQ(r.record.declared_demand, mb(64));
 }
 

@@ -45,7 +45,7 @@ TEST(DemandCorrector, OverDeclarationShrinksCorrection) {
   for (int i = 0; i < 10; ++i) corrector.observe("pp", 100.0, 25.0, false);
   const double c = corrector.correction("pp");
   EXPECT_LT(c, 0.5);
-  EXPECT_GE(c, 0.25);  // clamp floor
+  EXPECT_GE(c, FeedbackOptions::kMinCorrection);  // clamp floor
 }
 
 TEST(DemandCorrector, UnderDeclarationGrowsCorrection) {
@@ -69,7 +69,8 @@ TEST(DemandCorrector, CorrectionClampedAbove) {
   DemandCorrector corrector(enabled());
   corrector.observe("pp", 100.0, 4000.0, false);
   corrector.observe("pp", 100.0, 4000.0, false);
-  EXPECT_DOUBLE_EQ(corrector.correction("pp"), 4.0);  // max clamp
+  EXPECT_DOUBLE_EQ(corrector.correction("pp"),
+                   FeedbackOptions::kMaxCorrection);  // max clamp
 }
 
 TEST(DemandCorrector, LabelsIndependent) {
@@ -87,10 +88,6 @@ TEST(DemandCorrector, InvalidOptionsRejected) {
   FeedbackOptions bad;
   bad.decay = 0.0;
   EXPECT_THROW(DemandCorrector{bad}, util::CheckFailure);
-  FeedbackOptions inverted;
-  inverted.min_correction = 2.0;
-  inverted.max_correction = 1.0;
-  EXPECT_THROW(DemandCorrector{inverted}, util::CheckFailure);
 }
 
 // End-to-end helper: N processes, each running the same period `repeats`

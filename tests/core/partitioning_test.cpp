@@ -25,7 +25,6 @@ RdaScheduler make_sched(bool partition) {
   RdaOptions options;
   options.policy = PolicyKind::kStrict;
   options.partitioning.enable = partition;
-  options.partitioning.streaming_fraction = 0.10;
   return RdaScheduler(static_cast<double>(MB(15)), sim::Calibration{},
                       options);
 }
@@ -42,10 +41,11 @@ TEST(Partitioning, OversizedPeriodChargedOnlyItsPartition) {
   const auto r = sched.on_phase_begin(1, 1, marked_phase(40, ReuseLevel::kLow),
                                       0.0);
   EXPECT_TRUE(r.admit);
-  EXPECT_NEAR(r.occupancy_cap, 0.10 * static_cast<double>(MB(15)), 1.0);
+  const double cap =
+      PartitionOptions::kStreamingFraction * static_cast<double>(MB(15));
+  EXPECT_NEAR(r.occupancy_cap, cap, 1.0);
   // Load table holds 1.5 MB, not 40 MB.
-  EXPECT_NEAR(sched.resources().usage(ResourceKind::kLLC),
-              0.10 * static_cast<double>(MB(15)), 1.0);
+  EXPECT_NEAR(sched.resources().usage(ResourceKind::kLLC), cap, 1.0);
   EXPECT_EQ(sched.partitioned_periods(), 1u);
   // A normal 10 MB period co-runs.
   EXPECT_TRUE(

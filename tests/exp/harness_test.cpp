@@ -101,6 +101,49 @@ TEST(Harness, ParseJobsFlag) {
   // Trailing --jobs with no value is ignored.
   const char* dangling[] = {"prog", "--jobs"};
   EXPECT_EQ(parse_jobs(2, const_cast<char**>(dangling)), 1);
+  // Negative means one per hardware thread too.
+  const char* negative[] = {"prog", "--jobs", "-1"};
+  EXPECT_GE(parse_jobs(3, const_cast<char**>(negative)), 1);
+}
+
+TEST(Harness, NumericFlagsParseWholeValues) {
+  const char* argv[] = {"prog", "--arrivals", "8000", "--oversub", "1.5"};
+  char** args = const_cast<char**>(argv);
+  EXPECT_EQ(parse_u64_flag(5, args, "--arrivals", 0), 8000u);
+  EXPECT_EQ(parse_double_flag(5, args, "--oversub", 2.0), 1.5);
+  EXPECT_EQ(parse_u64_flag(5, args, "--shards", 3), 3u);  // absent
+}
+
+// Every numeric flag takes its whole value or stops the binary with a usage
+// error: reading only a valid prefix would turn "abc" into 0 and "-5" into
+// 2^64 - 5 without a word.
+TEST(HarnessDeathTest, NonNumberExitsWithUsageError) {
+  const char* argv[] = {"prog", "--oversub", "abc"};
+  EXPECT_EXIT(parse_double_flag(3, const_cast<char**>(argv), "--oversub", 2.0),
+              ::testing::ExitedWithCode(2),
+              "error: --oversub expects a number, got 'abc'");
+  const char* jobs[] = {"prog", "--jobs", "abc"};
+  EXPECT_EXIT(parse_jobs(3, const_cast<char**>(jobs)),
+              ::testing::ExitedWithCode(2),
+              "error: --jobs expects a number, got 'abc'");
+}
+
+TEST(HarnessDeathTest, TrailingJunkExitsWithUsageError) {
+  const char* argv[] = {"prog", "--arrivals", "800x", "--oversub", "1.5e"};
+  char** args = const_cast<char**>(argv);
+  EXPECT_EXIT(parse_u64_flag(5, args, "--arrivals", 0),
+              ::testing::ExitedWithCode(2),
+              "error: --arrivals expects a number, got '800x'");
+  EXPECT_EXIT(parse_double_flag(5, args, "--oversub", 2.0),
+              ::testing::ExitedWithCode(2),
+              "error: --oversub expects a number, got '1.5e'");
+}
+
+TEST(HarnessDeathTest, NegativeU64ExitsWithUsageError) {
+  const char* argv[] = {"prog", "--arrivals", "-5"};
+  EXPECT_EXIT(parse_u64_flag(3, const_cast<char**>(argv), "--arrivals", 0),
+              ::testing::ExitedWithCode(2),
+              "error: --arrivals expects a number, got '-5'");
 }
 
 TEST(Harness, RunMatrixIsRowMajorAndMatchesSingleRuns) {

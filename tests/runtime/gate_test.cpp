@@ -383,7 +383,6 @@ TEST(AdmissionGate, TimedBeginRaceConsumesOrReleasesGrant) {
 TEST(AdmissionGate, PartitioningAdmitsStreamingPeriodAlongsideNormal) {
   GateConfig cfg = strict_config();  // 15 MB LLC
   cfg.partitioning.enable = true;
-  cfg.partitioning.streaming_fraction = 0.10;
   AdmissionGate gate(cfg);
   HeldPeriod normal(gate, static_cast<double>(MB(8)));
   // 64 MB > LLC: §6 confines it to 1.5 MB, so it co-runs with the 8 MB

@@ -8,6 +8,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "util/number.hpp"
+
 namespace rda::tools {
 
 /// "--key value" style arguments plus bare flags ("--quick").
@@ -37,23 +39,27 @@ class Args {
     return it == values_.end() || it->second.empty() ? fallback : it->second;
   }
 
+  /// Numeric values are checked: a malformed one exits with status 2
+  /// (util::parse_number_or_exit).
   double get_double(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() || it->second.empty()
-               ? fallback
-               : std::strtod(it->second.c_str(), nullptr);
+    return get_number(key, fallback);
   }
 
   std::uint64_t get_u64(const std::string& key, std::uint64_t fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() || it->second.empty()
-               ? fallback
-               : std::strtoull(it->second.c_str(), nullptr, 10);
+    return get_number(key, fallback);
   }
 
   const std::vector<std::string>& positional() const { return positional_; }
 
  private:
+  template <typename T>
+  T get_number(const std::string& key, T fallback) const {
+    const auto it = values_.find(key);
+    return it == values_.end() || it->second.empty()
+               ? fallback
+               : util::parse_number_or_exit<T>("--" + key, it->second);
+  }
+
   std::unordered_map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };

@@ -12,6 +12,7 @@
 // against the scheduler's aggregate counters (exit 1 on mismatch).
 #include <algorithm>
 #include <cstdio>
+#include <iostream>
 #include <string>
 #include <vector>
 
@@ -160,6 +161,15 @@ int main(int argc, char** argv) {
         "mismatch)\n"
         "workloads: BLAS-1 BLAS-2 BLAS-3 Water_sp Water_nsq Ocean_cp "
         "Raytrace Volrend\n");
+  }
+
+  // RDA:Compromise admits up to x times capacity; x < 1 is stricter than
+  // Strict, which the policy refuses.
+  const double oversub = args.get_double("oversub", 2.0);
+  if (!(oversub >= 1.0)) {
+    std::cerr << "error: --oversub must be at least 1, got '"
+              << args.get("oversub") << "'\n";
+    return 2;
   }
 
   sim::EngineConfig engine;
