@@ -61,7 +61,6 @@ int main(int argc, char** argv) {
                    cluster::ClusterConfig cfg;
                    cfg.nodes = nodes;
                    cfg.node.machine = sim::MachineConfig::e5_2420();
-                   cfg.use_gate = true;
                    cfg.gate.policy = core::PolicyKind::kStrict;
                    cluster::ClusterScheduler sched(
                        cfg, policies[cell % policies.size()]);

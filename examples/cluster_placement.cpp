@@ -19,7 +19,6 @@ cluster::ClusterResult run(cluster::PlacementPolicy policy) {
   cluster::ClusterConfig cfg;
   cfg.nodes = 2;
   cfg.node.machine = sim::MachineConfig::e5_2420();
-  cfg.use_gate = true;
   cfg.gate.policy = core::PolicyKind::kStrict;
   cluster::ClusterScheduler sched(cfg, policy);
 

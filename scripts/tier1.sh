@@ -139,6 +139,16 @@ build/tools/fault_matrix --seed 1 --seeds 2 --jobs 1 \
   --out "$smoke_dir/fault_serial.csv"
 cmp "$smoke_dir/fault_par.csv" "$smoke_dir/fault_serial.csv"
 
+echo "== tier-1: cluster placement outputs (pinned stdout) =="
+# The two programs that drive src/cluster print deterministic tables; each
+# must match its committed stdout byte for byte, at any --jobs fan-out.
+for jobs in 1 "$(nproc)"; do
+  build/bench/ablate_cluster --jobs "$jobs" \
+    | cmp - tests/cluster/ablate_cluster.expected
+done
+build/examples/cluster_placement \
+  | cmp - tests/cluster/cluster_placement.expected
+
 echo "== tier-1: service front-end smoke (determinism across --jobs) =="
 # The deterministic service cells (arrival stream -> batched admission ->
 # locality routing, including the node-death cell) fanned out and serial:

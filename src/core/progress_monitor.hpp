@@ -101,7 +101,7 @@ struct MonitorStats {
   /// kForceAdmit so the event/stat reconciliation stays one-to-one).
   std::uint64_t watchdog_force_admissions = 0;
 
-  /// Field-wise accumulation (cluster layer: fleet-wide admission totals).
+  /// Field-wise accumulation (fleet-wide admission totals across node cores).
   MonitorStats& operator+=(const MonitorStats& o) {
     begins += o.begins;
     ends += o.ends;

@@ -10,8 +10,6 @@ std::string_view to_string(FaultKind kind) {
     case FaultKind::kLostWake: return "lost_wake";
     case FaultKind::kDelayedWake: return "delayed_wake";
     case FaultKind::kCorruptCounter: return "corrupt_counter";
-    case FaultKind::kNodeFail: return "node_fail";
-    case FaultKind::kNodeRecover: return "node_recover";
   }
   return "?";
 }
@@ -22,7 +20,6 @@ std::string_view to_string(Hook hook) {
     case Hook::kBlock: return "block";
     case Hook::kWake: return "wake";
     case Hook::kRelease: return "release";
-    case Hook::kNodeRoute: return "node_route";
   }
   return "?";
 }
@@ -66,8 +63,7 @@ FaultInjector::FaultInjector(FaultPlan plan) {
   }
 }
 
-const FaultSpec* FaultInjector::consult(Hook hook, sim::ThreadId thread,
-                                        int node) {
+const FaultSpec* FaultInjector::consult(Hook hook, sim::ThreadId thread) {
   std::lock_guard<std::mutex> guard(mu_);
   ++consults_;
   const FaultSpec* firing = nullptr;
@@ -76,7 +72,6 @@ const FaultSpec* FaultInjector::consult(Hook hook, sim::ThreadId thread,
     const FaultSpec& spec = armed.spec;
     if (spec.hook != hook) continue;
     if (spec.thread != sim::kInvalidThread && spec.thread != thread) continue;
-    if (spec.node >= 0 && spec.node != node) continue;
     ++armed.matches;
     // `>=` not `==`: a spec whose count was reached while an earlier spec
     // fired on the same consult takes the next matching one.

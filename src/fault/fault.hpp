@@ -1,10 +1,10 @@
 // Seeded, deterministic fault injection.
 //
 // A FaultPlan is a script of faults — thread death while admitted or
-// waitlisted, lost/delayed wakes, corrupted counter observations, cluster
-// node failures — each armed at a specific HOOK and firing on the Nth
-// matching consult of that hook. Injection points in core/admission,
-// runtime/gate, sim/engine and cluster call consult() at well-defined,
+// waitlisted, lost/delayed wakes, corrupted counter observations — each
+// armed at a specific HOOK (admit, block, wake, release) and firing on the
+// Nth matching consult of that hook. Injection points in core/admission,
+// runtime/gate and sim/engine call consult() at well-defined,
 // deterministic places (never from a timer), so the same plan + workload
 // replays the same fault sequence bit-for-bit: the property tools/fault_matrix
 // relies on to byte-compare runs.
@@ -28,8 +28,6 @@ enum class FaultKind : std::uint8_t {
   kLostWake,        ///< an admission grant's wake notification is dropped
   kDelayedWake,     ///< the wake is delivered late (native gate only)
   kCorruptCounter,  ///< observed peak occupancy scaled by `factor`
-  kNodeFail,        ///< cluster node fails a routing attempt
-  kNodeRecover,     ///< cluster node rejoins the placement set
 };
 
 std::string_view to_string(FaultKind kind);
@@ -38,11 +36,10 @@ std::string_view to_string(FaultKind kind);
 /// injector exactly once per event of that type, in substrate-deterministic
 /// order.
 enum class Hook : std::uint8_t {
-  kAdmit,      ///< after a period was admitted on the begin path
-  kBlock,      ///< after a period was parked on the waitlist
-  kWake,       ///< when an admission grant is about to be delivered
-  kRelease,    ///< when a completed period's counters are observed
-  kNodeRoute,  ///< when the cluster routes a process to a node
+  kAdmit,    ///< after a period was admitted on the begin path
+  kBlock,    ///< after a period was parked on the waitlist
+  kWake,     ///< when an admission grant is about to be delivered
+  kRelease,  ///< when a completed period's counters are observed
 };
 
 std::string_view to_string(Hook hook);
@@ -52,8 +49,6 @@ struct FaultSpec {
   Hook hook = Hook::kAdmit;
   /// Restricts the fault to one thread; kInvalidThread matches any.
   sim::ThreadId thread = sim::kInvalidThread;
-  /// Restricts a kNodeRoute fault to one node; negative matches any.
-  int node = -1;
   /// Fires on the Nth matching consult (1-based). With several specs on the
   /// same hook, at most one fires per consult; a spec whose count was
   /// reached while another fired takes the next matching consult.
@@ -100,8 +95,7 @@ class FaultInjector {
   /// Reports the hook event; returns the spec that fires on it, or nullptr.
   /// The returned pointer stays valid for the injector's lifetime.
   const FaultSpec* consult(Hook hook,
-                           sim::ThreadId thread = sim::kInvalidThread,
-                           int node = -1);
+                           sim::ThreadId thread = sim::kInvalidThread);
 
   /// Specs that have fired, in firing order.
   std::vector<FaultSpec> fired() const;

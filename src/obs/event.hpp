@@ -33,11 +33,11 @@ enum class EventKind : std::uint8_t {
   kReclaim,      ///< orphaned period reaped; its load/slot returned
   kDemandClamp,  ///< watchdog rung 1: infeasible demand clamped to capacity
   kReject,       ///< watchdog rung 3: waiter evicted with an error
-  kNodeDown,     ///< cluster node marked down after repeated failures
-  kNodeUp,       ///< cluster node rejoined the placement set
+  kNodeDown,     ///< service node went down; its parked work is re-queued
+  kNodeUp,       ///< service node rejoined the routing set
   kEnqueue,      ///< service front end accepted a submission into the queue
   kBatchDrain,   ///< drain loop pulled a batch; demand = batch size
-  kSteal,        ///< idle node stole a tenant batch; demand = batch size
+  kSteal,        ///< idle service node took a tenant batch; demand = its size
   kShed,         ///< overload ladder rung 3: submission shed before admission
   kMailbox,      ///< requeued submission posted to a drain shard's mailbox
   kPenalty,      ///< tenant ledger moved a tenant's penalty rung; demand = rung

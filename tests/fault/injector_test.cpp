@@ -72,23 +72,6 @@ TEST(FaultInjector, UntargetedSpecMatchesAnyThread) {
   EXPECT_NE(injector.consult(Hook::kAdmit, 9), nullptr);
 }
 
-TEST(FaultInjector, NodeTargetingRestrictsRouteFaults) {
-  FaultSpec targeted = spec(FaultKind::kNodeFail, Hook::kNodeRoute);
-  targeted.node = 1;
-  FaultPlan plan;
-  plan.add(targeted);
-  FaultInjector injector(std::move(plan));
-
-  EXPECT_EQ(injector.consult(Hook::kNodeRoute, sim::kInvalidThread, 0),
-            nullptr);
-  EXPECT_EQ(injector.consult(Hook::kNodeRoute, sim::kInvalidThread, 2),
-            nullptr);
-  const FaultSpec* fired =
-      injector.consult(Hook::kNodeRoute, sim::kInvalidThread, 1);
-  ASSERT_NE(fired, nullptr);
-  EXPECT_EQ(fired->node, 1);
-}
-
 TEST(FaultInjector, AtMostOneSpecFiresPerConsult) {
   // Two specs armed on the same hook with at_count=1: the first consult can
   // satisfy both, but only one fires; the runner-up takes the next matching
