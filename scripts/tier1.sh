@@ -22,7 +22,7 @@ if [[ "$run_tsan" == 1 ]]; then
     --target runtime_test core_test integration_test profiler_test trace_test \
              fault_test service_test
   ( cd build-tsan && ctest \
-      -R 'AdmissionGate|AdmissionCore|AdmissionParity|ContendedStress|Sharding|GateRace|Combiner|ProfilePipeline|TraceArena|MatrixDeterminism|FaultGate|FaultScenario|Watchdog|Reclaim|ServiceRace|ServicePump|ShardMailbox|SubmissionQueue|TenantLedger|Adversary|Credit' \
+      -R 'AdmissionGate|AdmissionCore|AdmissionParity|ContendedStress|Sharding|Waitlist|GateRace|Combiner|ProfilePipeline|TraceArena|MatrixDeterminism|FaultGate|FaultScenario|Watchdog|Reclaim|ServiceRace|ServicePump|ShardMailbox|SubmissionQueue|TenantLedger|Adversary|Credit' \
       --output-on-failure -j "$(nproc)" )
 
   echo "== tier-1: admission core/gate/waitlist + feedback/cluster + fault/recovery tests under ASan+UBSan =="
@@ -148,6 +148,16 @@ for jobs in 1 "$(nproc)"; do
 done
 build/examples/cluster_placement \
   | cmp - tests/cluster/cluster_placement.expected
+
+echo "== tier-1: waitlist and oversubscription ablations (pinned stdout) =="
+# Wake order and the Compromise bound are deterministic in the simulator:
+# both tables must match their committed stdout byte for byte, at any --jobs
+# fan-out.
+for jobs in 1 "$(nproc)"; do
+  for b in ablate_waitlist ablate_oversub; do
+    build/bench/$b --jobs "$jobs" | cmp - "tests/core/$b.expected"
+  done
+done
 
 echo "== tier-1: service front-end smoke (determinism across --jobs) =="
 # The deterministic service cells (arrival stream -> batched admission ->

@@ -10,16 +10,16 @@ namespace rda::core {
 
 AdmissionCore::AdmissionCore(AdmissionConfig config)
     : config_(config),
-      policy_(make_policy(config.policy, config.oversubscription)),
-      predicate_(*policy_, resources_),
+      predicate_(policy_factor(config.policy, config.oversubscription),
+                 resources_),
       monitor_(predicate_, resources_, config.monitor),
       corrector_(config.feedback) {
-  // Every configured resource's budget is the one policy's bound on its
-  // capacity. Unconfigured kinds keep a zero budget — callers only declare
-  // demands on configured resources.
+  // Every configured resource's budget is the one policy factor's bound on
+  // its capacity. Unconfigured kinds keep a zero budget — callers only
+  // declare demands on configured resources.
   const auto configure = [&](ResourceKind kind, double capacity) {
     resources_.set_capacity(kind, capacity);
-    resources_.set_admission_bound(kind, policy_->admission_bound(capacity));
+    resources_.set_admission_bound(kind, predicate_.bound(capacity));
   };
   configure(ResourceKind::kLLC, config_.llc_capacity_bytes);
   if (config_.bandwidth_capacity > 0.0) {
@@ -536,11 +536,10 @@ AdmissionCore::AuditReport AdmissionCore::audit() const {
     }
   }
   const std::size_t counted = monitor_.waitlist().size();
-  const std::size_t merged = monitor_.waitlist().entries().size();
-  if (counted != merged) {
+  const std::size_t held = monitor_.waitlist().entries().size();
+  if (counted != held) {
     std::ostringstream os;
-    os << "waitlist total counter " << counted << " != merged contents "
-       << merged;
+    os << "waitlist entry counter " << counted << " != contents " << held;
     fail(os.str());
   }
   return report;

@@ -58,7 +58,6 @@
 #include <vector>
 
 #include "core/feedback.hpp"
-#include "core/policy.hpp"
 #include "core/predicate.hpp"
 #include "core/progress_monitor.hpp"
 #include "core/resource_monitor.hpp"
@@ -348,7 +347,6 @@ class AdmissionCore {
   ResourceMonitor& resources() { return resources_; }
   const ResourceMonitor& resources() const { return resources_; }
   const ProgressMonitor& monitor() const { return monitor_; }
-  const SchedulingPolicy& policy() const { return *policy_; }
   const DemandCorrector& corrector() const { return corrector_; }
 
  private:
@@ -402,7 +400,6 @@ class AdmissionCore {
   void trace(obs::EventKind kind, double now, const PeriodRecord& record);
 
   AdmissionConfig config_;
-  std::unique_ptr<SchedulingPolicy> policy_;
   ResourceMonitor resources_;
   SchedulingPredicate predicate_;
   ProgressMonitor monitor_;

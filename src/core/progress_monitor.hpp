@@ -20,12 +20,12 @@
 //
 // Sharded-core edition: this is the SLOW LANE of the two-lane AdmissionCore.
 // All calls are serialized by the core's slow mutex (or by the caller, for
-// direct users like the unit tests); internally the monitor now sits on the
-// sharded registry/waitlist and stripes its load charges, so its bookkeeping
-// composes with the lock-free fast lane running beside it. Wakes are
-// BATCHED: a rescan appends woken threads to a pending list and the
-// outermost operation flushes them in one pass (one notify for the whole
-// pp_end storm instead of one per admission).
+// direct users like the unit tests); internally the monitor sits on the
+// sharded registry and the one FIFO waitlist and stripes its load charges,
+// so its bookkeeping composes with the lock-free fast lane running beside
+// it. Wakes are BATCHED: a rescan appends woken threads to a pending list
+// and the outermost operation flushes them in one pass (one notify for the
+// whole pp_end storm instead of one per admission).
 #pragma once
 
 #include <atomic>
@@ -274,7 +274,7 @@ class ProgressMonitor {
   }
 
   const MonitorStats& stats() const { return stats_; }
-  const ShardedWaitlist& waitlist() const { return waitlist_; }
+  const Waitlist& waitlist() const { return waitlist_; }
   const ShardedRegistry& registry() const { return registry_; }
   /// Fast-lane access: the core's lock-free admit inserts pre-admitted
   /// records and its release claims calm records directly off the shards.
@@ -368,7 +368,7 @@ class ProgressMonitor {
   obs::TraceSink* sink_ = nullptr;
 
   ShardedRegistry registry_;
-  ShardedWaitlist waitlist_;
+  Waitlist waitlist_;
   std::set<sim::ProcessId> pools_;
   std::set<sim::ProcessId> disabled_pools_;
   std::atomic<std::size_t> disabled_pool_count_{0};

@@ -85,7 +85,6 @@ class RdaScheduler final : public sim::PhaseGate {
   }
   ResourceMonitor& resources() { return core_.resources(); }
   const ProgressMonitor& monitor() const { return core_.monitor(); }
-  const SchedulingPolicy& policy() const { return core_.policy(); }
   const DemandCorrector& corrector() const { return core_.corrector(); }
 
  private:

@@ -7,8 +7,9 @@
 //
 // Sharded-core edition: the single usage double per resource is split into
 // kStripes cacheline-padded stripes so concurrent admissions do not bounce
-// one cacheline. The policy bound (capacity for Strict, x·capacity for
-// Compromise, +inf for AlwaysAdmit) is partitioned across the stripes as a
+// one cacheline. The admission bound — the policy factor times capacity:
+// capacity for Strict, x·capacity for Compromise, +inf for the Linux
+// default (see core/predicate.hpp) — is partitioned across the stripes as a
 // *budget*: each stripe holds `free` headroom, and an admission succeeds by
 // atomically taking `demand` out of the free pool (own stripe first, then
 // stealing from siblings). Free is never negative — a FORCED charge

@@ -94,113 +94,4 @@ std::vector<PeriodRecord> ShardedRegistry::snapshot() const {
   return out;
 }
 
-void ShardedWaitlist::push(Entry entry) {
-  entry.seq = next_seq_++;
-  shards_[shard_of_period(entry.period)].push_back(entry);
-  total_.fetch_add(1);  // seq_cst: this is the parker's Dekker store
-  dirty_ = true;
-}
-
-const std::deque<ShardedWaitlist::Entry>& ShardedWaitlist::entries() const {
-  if (dirty_) rebuild();
-  return merged_;
-}
-
-ShardedWaitlist::Entry& ShardedWaitlist::entry_at(std::size_t index) {
-  if (dirty_) rebuild();
-  const auto [shard, local] = locators_[index];
-  dirty_ = true;  // caller may mutate; the merged copies go stale
-  return shards_[shard][local];
-}
-
-std::vector<ShardedWaitlist::Entry> ShardedWaitlist::drain_admissible(
-    const std::function<bool(const Entry&)>& admit, bool head_only) {
-  if (dirty_) rebuild();
-  std::vector<Entry> out;
-  std::vector<std::uint64_t> seqs;
-  for (const Entry& entry : merged_) {
-    if (admit(entry)) {
-      out.push_back(entry);
-      seqs.push_back(entry.seq);
-    } else if (head_only) {
-      break;
-    }
-  }
-  if (!out.empty()) {
-    for (auto& shard : shards_) {
-      shard.erase(std::remove_if(shard.begin(), shard.end(),
-                                 [&seqs](const Entry& e) {
-                                   return std::find(seqs.begin(), seqs.end(),
-                                                    e.seq) != seqs.end();
-                                 }),
-                  shard.end());
-    }
-    total_.fetch_sub(out.size());
-    dirty_ = true;
-  }
-  return out;
-}
-
-ShardedWaitlist::Entry ShardedWaitlist::remove_at(std::size_t index) {
-  if (dirty_) rebuild();
-  const auto [shard, local] = locators_[index];
-  return take(shard, local);
-}
-
-void ShardedWaitlist::restore(Entry entry) {
-  auto& shard = shards_[shard_of_period(entry.period)];
-  const auto pos = std::lower_bound(
-      shard.begin(), shard.end(), entry.seq,
-      [](const Entry& e, std::uint64_t seq) { return e.seq < seq; });
-  shard.insert(pos, std::move(entry));
-  total_.fetch_add(1);
-  dirty_ = true;
-}
-
-std::vector<ShardedWaitlist::Entry> ShardedWaitlist::remove_process(
-    sim::ProcessId process) {
-  return drain_admissible(
-      [process](const Entry& e) { return e.process == process; },
-      /*head_only=*/false);
-}
-
-std::size_t ShardedWaitlist::count_process(sim::ProcessId process) const {
-  std::size_t count = 0;
-  for (const auto& shard : shards_) {
-    for (const Entry& e : shard) {
-      if (e.process == process) ++count;
-    }
-  }
-  return count;
-}
-
-void ShardedWaitlist::rebuild() const {
-  merged_.clear();
-  locators_.clear();
-  std::vector<std::pair<std::uint64_t, std::pair<std::uint32_t, std::size_t>>>
-      order;
-  for (std::uint32_t s = 0; s < kNumShards; ++s) {
-    for (std::size_t i = 0; i < shards_[s].size(); ++i) {
-      order.emplace_back(shards_[s][i].seq, std::make_pair(s, i));
-    }
-  }
-  std::sort(order.begin(), order.end());
-  for (const auto& [seq, loc] : order) {
-    (void)seq;
-    merged_.push_back(shards_[loc.first][loc.second]);
-    locators_.push_back(loc);
-  }
-  dirty_ = false;
-}
-
-ShardedWaitlist::Entry ShardedWaitlist::take(std::uint32_t shard,
-                                             std::size_t local_index) {
-  auto& dq = shards_[shard];
-  Entry entry = std::move(dq[local_index]);
-  dq.erase(dq.begin() + static_cast<std::ptrdiff_t>(local_index));
-  total_.fetch_sub(1);
-  dirty_ = true;
-  return entry;
-}
-
 }  // namespace rda::core

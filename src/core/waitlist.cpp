@@ -6,6 +6,23 @@
 
 namespace rda::core {
 
+void Waitlist::push(Entry entry) {
+  entry.seq = next_seq_++;
+  entries_.push_back(entry);
+  count_.fetch_add(1);  // seq_cst: this is the parker's Dekker store
+}
+
+void Waitlist::check_index(std::size_t index) const {
+  RDA_CHECK_MSG(index < entries_.size(),
+                "waitlist index " << index << " with only "
+                                  << entries_.size() << " entries");
+}
+
+Waitlist::Entry& Waitlist::entry_at(std::size_t index) {
+  check_index(index);
+  return entries_[index];
+}
+
 std::vector<Waitlist::Entry> Waitlist::drain_admissible(
     const std::function<bool(const Entry&)>& admit, bool head_only) {
   std::vector<Entry> admitted;
@@ -19,30 +36,31 @@ std::vector<Waitlist::Entry> Waitlist::drain_admissible(
       ++it;
     }
   }
+  if (!admitted.empty()) count_.fetch_sub(admitted.size());
   return admitted;
 }
 
 Waitlist::Entry Waitlist::remove_at(std::size_t index) {
-  RDA_CHECK_MSG(index < entries_.size(),
-                "waitlist remove_at(" << index << ") with only "
-                                      << entries_.size() << " entries");
-  const Entry entry = entries_[index];
+  check_index(index);
+  Entry entry = std::move(entries_[index]);
   entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(index));
+  count_.fetch_sub(1);
   return entry;
+}
+
+void Waitlist::restore(Entry entry) {
+  const auto pos = std::lower_bound(
+      entries_.begin(), entries_.end(), entry.seq,
+      [](const Entry& e, std::uint64_t seq) { return e.seq < seq; });
+  entries_.insert(pos, std::move(entry));
+  count_.fetch_add(1);
 }
 
 std::vector<Waitlist::Entry> Waitlist::remove_process(
     sim::ProcessId process) {
-  std::vector<Entry> removed;
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->process == process) {
-      removed.push_back(*it);
-      it = entries_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  return removed;
+  return drain_admissible(
+      [process](const Entry& e) { return e.process == process; },
+      /*head_only=*/false);
 }
 
 std::size_t Waitlist::count_process(sim::ProcessId process) const {

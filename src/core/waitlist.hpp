@@ -14,7 +14,9 @@
 //     (ablation bench `ablate_waitlist`).
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -26,6 +28,12 @@
 
 namespace rda::core {
 
+/// The one resource waitlist: parked entries in arrival (seq) order.
+///
+/// Every mutation runs in the admission slow lane (serialized by the core's
+/// slow mutex, or by the caller for direct users). size() is lock-free: it
+/// reads the seq_cst entry counter the calm lane uses as its "anybody
+/// parked?" Dekker flag.
 class Waitlist {
  public:
   struct Entry {
@@ -42,16 +50,21 @@ class Waitlist {
     /// watchdog last acted on (or first saw) this entry.
     EscalationLadder ladder{};
     double last_escalation_time = 0.0;
-    /// Global arrival sequence, assigned by the sharded waitlist so the
-    /// cross-shard merged view can reconstruct true FIFO order.
+    /// Arrival sequence, stamped by push(); restore() re-inserts by it.
     std::uint64_t seq = 0;
   };
 
-  void push(Entry entry) { entries_.push_back(entry); }
+  /// Appends the entry with the next arrival seq, then bumps the counter
+  /// (seq_cst: the parker's Dekker store).
+  void push(Entry entry);
 
-  bool empty() const { return entries_.empty(); }
-  std::size_t size() const { return entries_.size(); }
+  bool empty() const { return size() == 0; }
+  std::size_t size() const { return count_.load(); }
   const std::deque<Entry>& entries() const { return entries_; }
+
+  /// Mutable access for the watchdog's ladder bookkeeping; the identity
+  /// fields (period/thread/process/seq) must not be modified through this.
+  Entry& entry_at(std::size_t index);
 
   /// Removes and returns every entry `admit` accepts, in FIFO order. When
   /// `head_only`, scanning stops at the first rejection.
@@ -61,6 +74,10 @@ class Waitlist {
   /// Removes and returns the entry at `index` (0 = head).
   Entry remove_at(std::size_t index);
 
+  /// Re-inserts an entry removed by remove_at at its original FIFO position
+  /// (same seq) — used when a selected wake fails its re-acquisition.
+  void restore(Entry entry);
+
   /// Removes all entries of one process (group admission for thread pools).
   std::vector<Entry> remove_process(sim::ProcessId process);
 
@@ -68,7 +85,11 @@ class Waitlist {
   std::size_t count_process(sim::ProcessId process) const;
 
  private:
+  void check_index(std::size_t index) const;
+
   std::deque<Entry> entries_;
+  std::uint64_t next_seq_ = 1;
+  std::atomic<std::size_t> count_{0};
 };
 
 /// Wake order applied when released capacity is re-offered to the waitlist.

@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "core/policy.hpp"
+#include "core/predicate.hpp"
 #include "core/rda_scheduler.hpp"
 #include "sim/engine.hpp"
 #include "util/parallel.hpp"

@@ -47,7 +47,7 @@ std::string_view to_string(RoutePolicy policy) {
 
 ServiceFrontEnd::ServiceFrontEnd(ServiceConfig config)
     : config_(config),
-      rng_(config.seed),
+      rng_(kSeed),
       node_up_(static_cast<std::size_t>(config.nodes), true),
       outstanding_(static_cast<std::size_t>(config.nodes), 0.0),
       in_flight_count_(static_cast<std::size_t>(config.nodes), 0),

@@ -107,7 +107,8 @@ struct NodeFault {
 struct ServiceConfig {
   int nodes = 4;
   /// Drain shards (K): submissions are routed at push time to shard
-  /// shard_of_tenant(seed, tenant, K), each shard owning its own FIFO.
+  /// shard_of_tenant(ServiceFrontEnd::kSeed, tenant, K), each shard owning
+  /// its own FIFO.
   /// 0 = one shard per node. Byte-determinism holds for ANY K — the
   /// lockstep merge restores the canonical global order — so K changes how
   /// the queue is partitioned, never a decision. (The wall-clock pump has
@@ -128,8 +129,6 @@ struct ServiceConfig {
   /// the ones goodput cannot afford to rebuild. 0 = shed the whole batch
   /// (the old drop-all behavior, kept as the regression baseline).
   double shed_keep_fraction = 0.25;
-  /// Seed for the kRandom routing draw (arrivals carry their own seed).
-  std::uint64_t seed = 1;
   /// Shared sink for service events AND the node cores' lifecycle events
   /// (non-owning; nullptr = tracing off). Period ids are per-node, so the
   /// per-period obs::reconcile applies per node; the queue-side ledger
@@ -252,6 +251,10 @@ struct ServiceReport {
 
 class ServiceFrontEnd {
  public:
+  /// Seed of the kRandom routing draw and of the tenant→shard hash
+  /// (arrivals carry their own seed).
+  static constexpr std::uint64_t kSeed = 1;
+
   explicit ServiceFrontEnd(ServiceConfig config);
 
   /// Feeds `count` arrivals from `arrivals` through the queue → drain →
@@ -261,7 +264,7 @@ class ServiceFrontEnd {
   // Introspection for tests.
   int drain_shards() const { return num_shards_; }
   int shard_for_tenant(std::uint64_t tenant) const {
-    return shard_of_tenant(config_.seed, tenant, num_shards_);
+    return shard_of_tenant(kSeed, tenant, num_shards_);
   }
   int tenant_home(std::uint64_t tenant) const;
   bool node_up(int node) const {

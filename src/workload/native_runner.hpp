@@ -10,7 +10,7 @@
 
 #include <optional>
 
-#include "core/policy.hpp"
+#include "core/predicate.hpp"
 #include "runtime/gate.hpp"
 
 namespace rda::workload {

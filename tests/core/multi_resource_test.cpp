@@ -31,8 +31,7 @@ PeriodRecord multi_record(sim::ThreadId thread, double llc_mb,
 class MultiFixture {
  public:
   MultiFixture()
-      : policy_(std::make_unique<StrictPolicy>()),
-        predicate_(*policy_, resources_),
+      : predicate_(policy_factor(PolicyKind::kStrict, 2.0), resources_),
         monitor_(predicate_, resources_) {
     resources_.set_capacity(ResourceKind::kLLC, static_cast<double>(MB(15)));
     resources_.set_capacity(ResourceKind::kMemBandwidth, 30e9);
@@ -40,7 +39,6 @@ class MultiFixture {
   }
 
   ResourceMonitor resources_;
-  std::unique_ptr<SchedulingPolicy> policy_;
   SchedulingPredicate predicate_;
   ProgressMonitor monitor_;
   std::vector<sim::ThreadId> woken_;

@@ -1,20 +1,25 @@
 // SchedulingPredicate contract (multi-resource admission): a demand vector
 // is admitted only when every row fits its bound, the charge is
 // all-or-nothing with exact rollback, would_admit implies try_schedule when
-// serialized, and the per-kind budget invariant Σusage + Σfree − overdraft
-// == bound holds under fuzz and 16-thread churn. The suite is named
-// `Combiner`: the predicate combines the per-row verdicts into one.
+// serialized under every policy factor, and the per-kind budget invariant
+// Σusage + Σfree − overdraft == bound holds under fuzz and 16-thread churn.
+// The suite is named `Combiner`: the predicate combines the per-row verdicts
+// into one. The policy suites below pin apply_policy itself: the factor each
+// PolicyKind maps to and would_admit's verdict at the factor's boundary.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "core/policy.hpp"
+#include "core/admission.hpp"
 #include "core/predicate.hpp"
 #include "core/resource_monitor.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -31,17 +36,26 @@ constexpr ResourceKind kKinds[] = {ResourceKind::kLLC,
                                    ResourceKind::kMemBandwidth,
                                    ResourceKind::kEnergyBudget};
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 struct PredicateFixture {
-  PredicateFixture() : predicate(strict, resources) {
-    resources.set_capacity(ResourceKind::kLLC, kLlcCap);
-    resources.set_capacity(ResourceKind::kMemBandwidth, kBwCap);
-    resources.set_capacity(ResourceKind::kEnergyBudget, kWattsCap);
+  explicit PredicateFixture(double factor = 1.0)
+      : predicate(factor, resources) {
+    const auto configure = [&](ResourceKind kind, double capacity) {
+      resources.set_capacity(kind, capacity);
+      resources.set_admission_bound(kind, predicate.bound(capacity));
+    };
+    configure(ResourceKind::kLLC, kLlcCap);
+    configure(ResourceKind::kMemBandwidth, kBwCap);
+    configure(ResourceKind::kEnergyBudget, kWattsCap);
   }
 
-  /// The per-kind budget conservation law, checked for every kind.
+  /// The per-kind budget conservation law, checked for every kind with a
+  /// finite bound.
   void expect_invariant() const {
     for (const ResourceKind kind : kKinds) {
       const double bound = resources.admission_bound(kind);
+      if (std::isinf(bound)) continue;
       const double lhs = resources.usage(kind) + resources.total_free(kind) -
                          resources.overdraft(kind);
       EXPECT_NEAR(lhs, bound, 1e-3 * std::max(1.0, bound))
@@ -57,7 +71,6 @@ struct PredicateFixture {
   }
 
   ResourceMonitor resources;
-  StrictPolicy strict;
   SchedulingPredicate predicate;
 };
 
@@ -97,49 +110,67 @@ TEST(Combiner, AllMustFitChargesAndReleasesEveryKind) {
 TEST(Combiner, WouldAdmitImpliesTryScheduleWhenSerialized) {
   // The slow-lane rescan admits a waiter iff would_admit passes, then calls
   // try_schedule — a would_admit that passes where try_schedule fails would
-  // wake a thread into a denial. Fuzz the implication.
-  PredicateFixture fx;
-  util::Rng rng(42);
+  // wake a thread into a denial. Fuzz the implication under Strict, under
+  // Compromise at every x ablate_oversub sweeps, and under the infinite
+  // factor (Linux default).
+  for (const double factor : {1.0, 1.25, 1.5, 2.0, 8.0, kInf}) {
+    SCOPED_TRACE(testing::Message() << "factor " << factor);
+    PredicateFixture fx(factor);
+    util::Rng rng(42);
 
-  struct Held {
-    std::vector<ResourceDemand> demands;
-    std::uint32_t stripe;
-  };
-  std::vector<Held> held;
-  for (int step = 0; step < 2000; ++step) {
-    if (!held.empty() && rng.next_bool(0.45)) {
-      const std::size_t pick = rng.next_below(held.size());
-      for (const ResourceDemand& d : held[pick].demands) {
-        fx.resources.decrement_load(d.resource, d.amount, held[pick].stripe);
+    struct Held {
+      std::vector<ResourceDemand> demands;
+      std::uint32_t stripe;
+    };
+    std::vector<Held> held;
+    std::size_t denied = 0;
+    for (int step = 0; step < 2000; ++step) {
+      if (!held.empty() && rng.next_bool(0.45)) {
+        const std::size_t pick = rng.next_below(held.size());
+        for (const ResourceDemand& d : held[pick].demands) {
+          fx.resources.decrement_load(d.resource, d.amount,
+                                      held[pick].stripe);
+        }
+        held.erase(held.begin() + static_cast<std::ptrdiff_t>(pick));
+        continue;
       }
-      held.erase(held.begin() + static_cast<std::ptrdiff_t>(pick));
-      continue;
-    }
-    Held h;
-    h.stripe = static_cast<std::uint32_t>(rng.next_below(16));
-    h.demands.push_back(
-        {ResourceKind::kLLC, rng.next_double(0.0, 0.4 * kLlcCap)});
-    if (rng.next_bool(0.7)) {
+      Held h;
+      h.stripe = static_cast<std::uint32_t>(rng.next_below(16));
       h.demands.push_back(
-          {ResourceKind::kMemBandwidth, rng.next_double(0.0, 0.4 * kBwCap)});
+          {ResourceKind::kLLC, rng.next_double(0.0, 0.4 * kLlcCap)});
+      if (rng.next_bool(0.7)) {
+        h.demands.push_back({ResourceKind::kMemBandwidth,
+                             rng.next_double(0.0, 0.4 * kBwCap)});
+      }
+      if (rng.next_bool(0.7)) {
+        h.demands.push_back({ResourceKind::kEnergyBudget,
+                             rng.next_double(0.0, 0.4 * kWattsCap)});
+      }
+      const bool would = fx.predicate.would_admit(h.demands);
+      const bool did = fx.predicate.try_schedule(h.demands, h.stripe);
+      EXPECT_TRUE(!would || did)
+          << "would_admit passed but try_schedule failed at step " << step;
+      if (did) {
+        held.push_back(std::move(h));
+      } else {
+        ++denied;
+      }
     }
-    if (rng.next_bool(0.7)) {
-      h.demands.push_back({ResourceKind::kEnergyBudget,
-                           rng.next_double(0.0, 0.4 * kWattsCap)});
+    // The bound binds for every finite factor the sweep covers, so the
+    // implication is exercised on both verdicts.
+    if (std::isinf(factor)) {
+      EXPECT_EQ(denied, 0u);
+    } else {
+      EXPECT_GT(denied, 0u);
     }
-    const bool would = fx.predicate.would_admit(h.demands);
-    const bool did = fx.predicate.try_schedule(h.demands, h.stripe);
-    EXPECT_TRUE(!would || did)
-        << "would_admit passed but try_schedule failed at step " << step;
-    if (did) held.push_back(std::move(h));
+    for (const Held& h : held) {
+      for (const ResourceDemand& d : h.demands) {
+        fx.resources.decrement_load(d.resource, d.amount, h.stripe);
+      }
+    }
+    fx.expect_all_zero_usage();
+    fx.expect_invariant();
   }
-  for (const Held& h : held) {
-    for (const ResourceDemand& d : h.demands) {
-      fx.resources.decrement_load(d.resource, d.amount, h.stripe);
-    }
-  }
-  fx.expect_all_zero_usage();
-  fx.expect_invariant();
 }
 
 TEST(Combiner, PerKindInvariantFuzz) {
@@ -230,6 +261,119 @@ TEST(AdmissionCoreMultiKindRollback, FailedAcquireRollsBackExactlyUnderChurn) {
         << to_string(kind);
   }
 }
+
+// apply_policy of Algorithm 1 on one LLC row: does a `demand` fit a
+// resource of `capacity` (0 = never configured) already carrying `usage`,
+// under `factor`?
+bool admits(double factor, double capacity, double usage, double demand) {
+  ResourceMonitor monitor;
+  if (capacity > 0.0) monitor.set_capacity(ResourceKind::kLLC, capacity);
+  if (usage > 0.0) monitor.increment_load(ResourceKind::kLLC, usage);
+  const SchedulingPredicate predicate(factor, monitor);
+  return predicate.would_admit({{ResourceKind::kLLC, demand}});
+}
+
+TEST(StrictPolicy, AllowsExactlyUpToCapacity) {
+  const double strict = policy_factor(PolicyKind::kStrict, 2.0);
+  EXPECT_TRUE(admits(strict, 100.0, 40.0, 60.0));   // fills exactly
+  EXPECT_TRUE(admits(strict, 100.0, 40.0, 0.0));    // plenty of room
+  EXPECT_FALSE(admits(strict, 100.0, 40.0, 61.0));  // one byte over
+}
+
+TEST(CompromisePolicy, AllowsUpToFactorTimesCapacity) {
+  // usage + demand <= 2*capacity <=> outcome >= -capacity.
+  const double x2 = policy_factor(PolicyKind::kCompromise, 2.0);
+  EXPECT_TRUE(admits(x2, 100.0, 150.0, 50.0));   // lands exactly at 2x
+  EXPECT_TRUE(admits(x2, 100.0, 150.0, 0.0));
+  EXPECT_FALSE(admits(x2, 100.0, 150.0, 50.1));  // just over 2x
+}
+
+TEST(CompromisePolicy, FactorOneEqualsStrict) {
+  const double one = policy_factor(PolicyKind::kCompromise, 1.0);
+  const double strict = policy_factor(PolicyKind::kStrict, 2.0);
+  EXPECT_EQ(one, strict);
+  // capacity 64, usage 10: outcomes -10, -0.1, 0, 0.1 and 30.
+  for (double demand : {64.0, 54.1, 54.0, 53.9, 24.0}) {
+    EXPECT_EQ(admits(one, 64.0, 10.0, demand),
+              admits(strict, 64.0, 10.0, demand))
+        << demand;
+  }
+}
+
+TEST(CompromisePolicy, SubUnityFactorRejected) {
+  EXPECT_THROW(policy_factor(PolicyKind::kCompromise, 0.5),
+               util::CheckFailure);
+  AdmissionConfig config;
+  config.policy = PolicyKind::kCompromise;
+  config.oversubscription = 0.5;
+  EXPECT_THROW(AdmissionCore{config}, util::CheckFailure);
+}
+
+TEST(AlwaysAdmitPolicy, AdmitsAnything) {
+  const double linux_default = policy_factor(PolicyKind::kLinuxDefault, 2.0);
+  EXPECT_TRUE(admits(linux_default, 1.0, 1e18, 1e18));
+  // Even a resource nobody configured (capacity 0: inf × 0 is NaN).
+  EXPECT_TRUE(admits(linux_default, 0.0, 0.0, 1.0));
+}
+
+TEST(PolicyFactory, MapsKinds) {
+  EXPECT_EQ(policy_factor(PolicyKind::kStrict, 2.0), 1.0);
+  EXPECT_EQ(policy_factor(PolicyKind::kCompromise, 2.0), 2.0);
+  EXPECT_EQ(policy_factor(PolicyKind::kCompromise, 1.25), 1.25);
+  EXPECT_TRUE(std::isinf(policy_factor(PolicyKind::kLinuxDefault, 2.0)));
+  // The core's stripe budget is the factor's bound on each capacity.
+  for (const PolicyKind kind : {PolicyKind::kStrict, PolicyKind::kCompromise,
+                                PolicyKind::kLinuxDefault}) {
+    AdmissionConfig config;
+    config.policy = kind;
+    config.oversubscription = 1.5;
+    config.bandwidth_capacity = kBwCap;
+    const AdmissionCore core(config);
+    const double factor = policy_factor(kind, 1.5);
+    for (const auto& [res, cap] :
+         {std::pair{ResourceKind::kLLC, config.llc_capacity_bytes},
+          std::pair{ResourceKind::kMemBandwidth, kBwCap}}) {
+      const double bound = core.resources().admission_bound(res);
+      if (std::isinf(factor)) {
+        EXPECT_TRUE(std::isinf(bound)) << to_string(kind);
+      } else {
+        EXPECT_EQ(bound, factor * cap) << to_string(kind);
+      }
+    }
+  }
+}
+
+TEST(PolicyNames, HumanReadable) {
+  EXPECT_EQ(to_string(PolicyKind::kLinuxDefault), "Linux default");
+  EXPECT_EQ(to_string(PolicyKind::kStrict), "RDA:Strict");
+  EXPECT_EQ(to_string(PolicyKind::kCompromise), "RDA:Compromise");
+}
+
+// Algorithm-1 semantics sweep with a real monitor: strict admits while
+// usage + demand <= capacity, compromise while <= 2x capacity.
+class PolicySweep : public ::testing::TestWithParam<double> {};
+
+TEST_P(PolicySweep, StrictVsCompromiseBoundary) {
+  const double demand = GetParam();
+  const double capacity = static_cast<double>(MB(15));
+  const double usage = static_cast<double>(MB(10));
+  EXPECT_EQ(admits(policy_factor(PolicyKind::kStrict, 2.0), capacity, usage,
+                   demand),
+            usage + demand <= capacity + 1e-9);
+  EXPECT_EQ(admits(policy_factor(PolicyKind::kCompromise, 2.0), capacity,
+                   usage, demand),
+            usage + demand <= 2.0 * capacity + 1e-9);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Demands, PolicySweep,
+    ::testing::Values(0.0, static_cast<double>(MB(1)),
+                      static_cast<double>(MB(5)),
+                      static_cast<double>(MB(5.0001)),
+                      static_cast<double>(MB(15)),
+                      static_cast<double>(MB(20)),
+                      static_cast<double>(MB(20.0001)),
+                      static_cast<double>(MB(40))));
 
 }  // namespace
 }  // namespace rda::core

@@ -13,17 +13,15 @@ namespace {
 
 using rda::util::MB;
 
-/// Fixture wiring monitor + strict/compromise policy + a wake recorder.
+/// Fixture wiring monitor + strict/compromise predicate + a wake recorder.
 class MonitorFixture {
  public:
   explicit MonitorFixture(PolicyKind kind, MonitorOptions options = {})
-      : policy_(make_policy(kind, 2.0)),
-        predicate_(*policy_, resources_),
+      : predicate_(policy_factor(kind, 2.0), resources_),
         monitor_(predicate_, resources_, options) {
     resources_.set_capacity(ResourceKind::kLLC, static_cast<double>(MB(15)));
     resources_.set_admission_bound(
-        ResourceKind::kLLC,
-        policy_->admission_bound(static_cast<double>(MB(15))));
+        ResourceKind::kLLC, predicate_.bound(static_cast<double>(MB(15))));
     monitor_.set_batch_waker(log_wakes(woken_));
   }
 
@@ -42,7 +40,6 @@ class MonitorFixture {
   double usage() const { return resources_.usage(ResourceKind::kLLC); }
 
   ResourceMonitor resources_;
-  std::unique_ptr<SchedulingPolicy> policy_;
   SchedulingPredicate predicate_;
   ProgressMonitor monitor_;
   std::vector<sim::ThreadId> woken_;

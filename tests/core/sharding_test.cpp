@@ -1,5 +1,5 @@
 // Shard-accounting invariants of the sharded admission core: the id/shard
-// mapping contracts, the sharded registry/waitlist bookkeeping, and —
+// mapping contracts, the sharded registry bookkeeping, and —
 // at quiescence — the agreement between the striped lock-free counters and
 // the registry ground truth that AdmissionCore::audit() formalizes.
 #include <gtest/gtest.h>
@@ -188,53 +188,6 @@ TEST(Sharding, SnapshotIsSortedByIdAcrossShards) {
   ASSERT_EQ(snapshot.size(), 120u);
   for (std::size_t i = 1; i < snapshot.size(); ++i) {
     EXPECT_LT(snapshot[i - 1].id, snapshot[i].id);
-  }
-}
-
-TEST(Sharding, WaitlistCounterTracksContentsAcrossShards) {
-  ShardedWaitlist waitlist;
-  util::Rng rng(7);
-  std::uint64_t next_period = 1;
-  std::size_t expected = 0;
-  for (int round = 0; round < 200; ++round) {
-    if (expected == 0 || rng.next_double() < 0.6) {
-      Waitlist::Entry entry;
-      entry.period = next_period++;
-      entry.thread = static_cast<sim::ThreadId>(1 + rng.next_below(64));
-      entry.process = static_cast<sim::ProcessId>(entry.thread);
-      waitlist.push(entry);
-      ++expected;
-    } else {
-      waitlist.remove_at(rng.next_below(expected));
-      --expected;
-    }
-    // The Dekker flag the lock-free lane reads must equal the merged
-    // view's true size after every mutation.
-    ASSERT_EQ(waitlist.size(), expected);
-    ASSERT_EQ(waitlist.entries().size(), expected);
-    // The merged view is in strict arrival order.
-    std::uint64_t prev_seq = 0;
-    for (const Waitlist::Entry& e : waitlist.entries()) {
-      ASSERT_GT(e.seq, prev_seq);
-      prev_seq = e.seq;
-    }
-  }
-}
-
-TEST(Sharding, RestoreReinsertsAtOriginalFifoPosition) {
-  ShardedWaitlist waitlist;
-  for (std::uint64_t p = 1; p <= 8; ++p) {
-    Waitlist::Entry entry;
-    entry.period = p;
-    entry.thread = static_cast<sim::ThreadId>(p);
-    waitlist.push(entry);
-  }
-  Waitlist::Entry taken = waitlist.remove_at(3);
-  EXPECT_EQ(waitlist.size(), 7u);
-  waitlist.restore(taken);
-  ASSERT_EQ(waitlist.size(), 8u);
-  for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(waitlist.entries()[i].period, i + 1) << "index " << i;
   }
 }
 

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace rda::core {
 namespace {
@@ -142,6 +147,148 @@ TEST(WakeStrategy, FactoryMapsOrderAndConservation) {
   EXPECT_EQ(make_wake_strategy(WakeOrder::kBestFitDemand, true)->name(),
             make_wake_strategy(WakeOrder::kBestFitDemand, false)->name());
   EXPECT_EQ(to_string(WakeOrder::kBestFitDemand), "best-fit");
+}
+
+TEST(Waitlist, CounterTracksContents) {
+  Waitlist waitlist;
+  util::Rng rng(7);
+  std::uint64_t next_period = 1;
+  std::size_t expected = 0;
+  for (int round = 0; round < 200; ++round) {
+    if (expected == 0 || rng.next_double() < 0.6) {
+      Waitlist::Entry e;
+      e.period = next_period++;
+      e.thread = static_cast<sim::ThreadId>(1 + rng.next_below(64));
+      e.process = static_cast<sim::ProcessId>(e.thread);
+      waitlist.push(e);
+      ++expected;
+    } else {
+      waitlist.remove_at(rng.next_below(expected));
+      --expected;
+    }
+    // The Dekker flag the lock-free lane reads must equal the list's true
+    // size after every mutation.
+    ASSERT_EQ(waitlist.size(), expected);
+    ASSERT_EQ(waitlist.entries().size(), expected);
+    // The list is in strict arrival order.
+    std::uint64_t prev_seq = 0;
+    for (const Waitlist::Entry& e : waitlist.entries()) {
+      ASSERT_GT(e.seq, prev_seq);
+      prev_seq = e.seq;
+    }
+  }
+}
+
+TEST(Waitlist, RestoreReinsertsAtOriginalFifoPosition) {
+  Waitlist waitlist;
+  for (std::uint64_t p = 1; p <= 8; ++p) {
+    Waitlist::Entry e;
+    e.period = p;
+    e.thread = static_cast<sim::ThreadId>(p);
+    waitlist.push(e);
+  }
+  Waitlist::Entry taken = waitlist.remove_at(3);
+  EXPECT_EQ(waitlist.size(), 7u);
+  waitlist.restore(taken);
+  ASSERT_EQ(waitlist.size(), 8u);
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(waitlist.entries()[i].period, i + 1) << "index " << i;
+  }
+}
+
+TEST(Waitlist, RandomOperationsMatchVectorReference) {
+  // One seeded sequence of every mutation the slow lane issues, mirrored on
+  // a plain vector: after each step the seqs ascend, the counter matches
+  // the contents, and the contents equal the reference entry for entry.
+  Waitlist waitlist;
+  std::vector<Waitlist::Entry> reference;
+  util::Rng rng(2024);
+  PeriodId next_period = 1;
+  std::uint64_t next_seq = 1;
+  const auto matches = [&](const Waitlist::Entry& a,
+                           const Waitlist::Entry& b) {
+    return a.period == b.period && a.thread == b.thread &&
+           a.process == b.process && a.seq == b.seq;
+  };
+  const auto check = [&](int step) {
+    SCOPED_TRACE(testing::Message() << "step " << step);
+    ASSERT_EQ(waitlist.size(), waitlist.entries().size());
+    ASSERT_EQ(waitlist.entries().size(), reference.size());
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      if (i > 0) {
+        ASSERT_LT(waitlist.entries()[i - 1].seq, waitlist.entries()[i].seq);
+      }
+      ASSERT_TRUE(matches(waitlist.entries()[i], reference[i])) << i;
+    }
+  };
+  // The entry most recently pulled by remove_at, awaiting restore().
+  std::vector<Waitlist::Entry> pulled;
+  for (int step = 0; step < 3000; ++step) {
+    const double roll = rng.next_double();
+    if (roll < 0.4 || reference.empty()) {
+      Waitlist::Entry e;
+      e.period = next_period++;
+      e.thread = static_cast<sim::ThreadId>(e.period);
+      e.process = static_cast<sim::ProcessId>(1 + rng.next_below(6));
+      waitlist.push(e);
+      e.seq = next_seq++;
+      reference.push_back(e);
+    } else if (roll < 0.6) {
+      const std::size_t index = rng.next_below(reference.size());
+      const Waitlist::Entry e = waitlist.remove_at(index);
+      ASSERT_TRUE(matches(e, reference[index]));
+      reference.erase(reference.begin() +
+                      static_cast<std::ptrdiff_t>(index));
+      pulled.push_back(e);
+    } else if (roll < 0.75 && !pulled.empty()) {
+      const std::size_t pick = rng.next_below(pulled.size());
+      const Waitlist::Entry e = pulled[pick];
+      pulled.erase(pulled.begin() + static_cast<std::ptrdiff_t>(pick));
+      waitlist.restore(e);
+      reference.insert(
+          std::lower_bound(reference.begin(), reference.end(), e.seq,
+                           [](const Waitlist::Entry& r, std::uint64_t seq) {
+                             return r.seq < seq;
+                           }),
+          e);
+    } else if (roll < 0.9) {
+      const bool head_only = rng.next_bool(0.5);
+      const std::uint64_t parity = rng.next_below(2);
+      const auto admit = [parity](const Waitlist::Entry& e) {
+        return e.period % 2 == parity;
+      };
+      const std::vector<Waitlist::Entry> drained =
+          waitlist.drain_admissible(admit, head_only);
+      std::vector<Waitlist::Entry> expected;
+      for (auto it = reference.begin(); it != reference.end();) {
+        if (admit(*it)) {
+          expected.push_back(*it);
+          it = reference.erase(it);
+        } else if (head_only) {
+          break;
+        } else {
+          ++it;
+        }
+      }
+      ASSERT_EQ(drained.size(), expected.size());
+      for (std::size_t i = 0; i < drained.size(); ++i) {
+        ASSERT_TRUE(matches(drained[i], expected[i])) << i;
+      }
+    } else {
+      const auto process = static_cast<sim::ProcessId>(1 + rng.next_below(6));
+      const std::size_t before = reference.size();
+      reference.erase(std::remove_if(reference.begin(), reference.end(),
+                                     [process](const Waitlist::Entry& e) {
+                                       return e.process == process;
+                                     }),
+                      reference.end());
+      EXPECT_EQ(waitlist.count_process(process), before - reference.size());
+      EXPECT_EQ(waitlist.remove_process(process).size(),
+                before - reference.size());
+    }
+    check(step);
+    if (testing::Test::HasFatalFailure()) return;
+  }
 }
 
 TEST(Waitlist, EmptyOperations) {
