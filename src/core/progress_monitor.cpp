@@ -146,31 +146,45 @@ ProgressMonitor::BeginOutcome ProgressMonitor::begin_period(
       options_.pool_guard && pool_disabled(process);
 
   if (!member_of_disabled_pool) {
-    if (predicate_->try_schedule(*stored)) {
+    bool admitted = predicate_->try_schedule(*stored);
+    if (!admitted) {
+      // Liveness override: nothing else holds any targeted resource, yet
+      // the demand is over the policy bound — it can never fit, so run
+      // solo.
+      bool targets_free = true;
+      bool ever_fits = true;
+      for (const ResourceDemand& d : stored->demands) {
+        if (!resources_->effectively_free(d.resource)) {
+          targets_free = false;
+          break;
+        }
+        ever_fits =
+            ever_fits && resources_->fits_when_free(d.resource, d.amount);
+      }
+      if (targets_free && !ever_fits) {
+        for (const ResourceDemand& d : stored->demands) {
+          resources_->increment_load(d.resource, d.amount, stored->stripe);
+        }
+        admit(id);
+        ++stats_.forced_admissions;
+        trace(obs::EventKind::kForceAdmit, now, *stored);
+        outcome.admitted = true;
+        outcome.forced = true;
+        return outcome;
+      }
+      // Free targets under a demand that fits mean a lock-free release
+      // landed after the failed try_schedule. Charge it the normal way,
+      // racing any lock-free admission for the freed budget, and park if
+      // that admission wins: forcing it would run it beside the winner.
+      // (Serialized, free targets after a failed try_schedule imply a
+      // demand over the bound, so this re-run never happens there.)
+      admitted = targets_free && predicate_->try_schedule(*stored);
+    }
+    if (admitted) {
       admit(id);
       ++stats_.immediate_admissions;
       trace(obs::EventKind::kAdmit, now, *stored);
       outcome.admitted = true;
-      return outcome;
-    }
-    // Liveness override: nothing else holds any targeted resource, yet
-    // the demand is over the policy bound — it can never fit, so run solo.
-    bool targets_free = true;
-    for (const ResourceDemand& d : stored->demands) {
-      if (!resources_->effectively_free(d.resource)) {
-        targets_free = false;
-        break;
-      }
-    }
-    if (targets_free) {
-      for (const ResourceDemand& d : stored->demands) {
-        resources_->increment_load(d.resource, d.amount, stored->stripe);
-      }
-      admit(id);
-      ++stats_.forced_admissions;
-      trace(obs::EventKind::kForceAdmit, now, *stored);
-      outcome.admitted = true;
-      outcome.forced = true;
       return outcome;
     }
     if (options_.pool_guard && is_pool(process)) {
@@ -291,19 +305,37 @@ void ProgressMonitor::rescan(double now) {
       } else {
         const PeriodRecord* record = registry_.find(head.period);
         RDA_CHECK(record != nullptr);
+        bool ever_fits = true;
         for (const ResourceDemand& d : record->demands) {
-          resources_->increment_load(d.resource, d.amount, record->stripe);
+          ever_fits =
+              ever_fits && resources_->fits_when_free(d.resource, d.amount);
         }
-        admit(head.period);
-        ++stats_.forced_admissions;
-        trace(obs::EventKind::kForceAdmit, now, *record);
-        const std::vector<Waitlist::Entry> forced =
-            waitlist_.drain_admissible(
-                [&](const Waitlist::Entry& e) {
-                  return e.period == head.period;
-                },
-                /*head_only=*/false);
-        for (const Waitlist::Entry& e : forced) wake_entry(e, now);
+        if (ever_fits) {
+          // A head that fits was only passed over because a lock-free
+          // admission raced step 2 and has since ended: charge it the
+          // normal way, or leave it parked if another claim won again (that
+          // claim's release rescans). Serialized, a head left here never
+          // fits, as in begin_period.
+          if (predicate_->try_schedule(*record)) {
+            Waitlist::Entry e = waitlist_.remove_at(0);
+            admit(e.period);
+            wake_entry(e, now);
+          }
+        } else {
+          for (const ResourceDemand& d : record->demands) {
+            resources_->increment_load(d.resource, d.amount, record->stripe);
+          }
+          admit(head.period);
+          ++stats_.forced_admissions;
+          trace(obs::EventKind::kForceAdmit, now, *record);
+          const std::vector<Waitlist::Entry> forced =
+              waitlist_.drain_admissible(
+                  [&](const Waitlist::Entry& e) {
+                    return e.period == head.period;
+                  },
+                  /*head_only=*/false);
+          for (const Waitlist::Entry& e : forced) wake_entry(e, now);
+        }
       }
     }
   }

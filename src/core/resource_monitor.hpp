@@ -137,6 +137,13 @@ class ResourceMonitor {
   /// residues of ~1e-2 bytes.
   bool effectively_free(ResourceKind kind) const;
 
+  /// True when `demand` fits the admission bound on top of any dust the
+  /// resource may carry while effectively free: a demand for which this is
+  /// false can never be admitted by try_acquire once the resource is free.
+  bool fits_when_free(ResourceKind kind, double demand) const {
+    return demand + dust_threshold(kind) <= admission_bound(kind);
+  }
+
   /// Bumped on every load change; the pool park's second look compares it
   /// across the park. Sum of the per-stripe counters (+1 to match the
   /// legacy initial epoch).

@@ -407,6 +407,12 @@ ReconcileReport reconcile_waits(std::span<const Event> events,
        << " cancelled) — a block whose wait was never accounted";
     fail(os.str());
   }
+  if (gate.spun_waits > gate.waits) {
+    std::ostringstream os;
+    os << "gate counted " << gate.spun_waits << " spun waits but only "
+       << gate.waits << " waits — a spin outside any wait";
+    fail(os.str());
+  }
   const double slack =
       gate.slack_seconds * (static_cast<double>(blocks) + 1.0);
   if (std::abs(gate.total_wait_seconds - event_wait_total) > slack) {

@@ -65,6 +65,9 @@ struct WaitStatsCheck {
   /// rt::GateStats::no_sleep_blocks — periods that visited the waitlist but
   /// were admitted on the in-core second look before their caller slept.
   std::uint64_t no_sleep_blocks = 0;
+  /// rt::GateStats::spun_waits — waits settled during the spin, before
+  /// their caller parked (a subset of waits).
+  std::uint64_t spun_waits = 0;
   double total_wait_seconds = 0.0;  ///< rt::GateStats::total_wait_seconds
   /// Per-wait tolerance between the gate's wall-clock wait accounting and
   /// the event-timestamp-derived total. The gate times mutex reacquisition
@@ -120,6 +123,8 @@ ReconcileReport reconcile_service(std::span<const Event> events,
 ///   * gate waits + no_sleep_blocks + cancel-resolved blocks >= blocks
 ///     (every block is either slept on, admitted on the second look, or
 ///     withdrawn — an unaccounted block means lost wait accounting);
+///   * gate spun_waits <= waits (a spun wait is a wait that settled before
+///     it parked, never an extra one);
 ///   * |gate total_wait_seconds - event-derived total| within slack.
 ReconcileReport reconcile_waits(std::span<const Event> events,
                                 const WaitHistogram& histogram,

@@ -1,5 +1,6 @@
 #include "runtime/affinity.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -27,6 +28,17 @@ bool pin_to_cpu(int cpu) {
 int online_cpus() {
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : static_cast<int>(n);
+}
+
+int affinity_cpus() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return std::max(1, CPU_COUNT(&set));
+  }
+#endif
+  return online_cpus();
 }
 
 std::optional<std::uint64_t> detect_llc_bytes() {

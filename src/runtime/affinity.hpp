@@ -14,6 +14,10 @@ bool pin_to_cpu(int cpu);
 /// Number of online CPUs (>=1).
 int online_cpus();
 
+/// Number of CPUs in the calling thread's affinity mask (>=1; online_cpus()
+/// where the mask cannot be read).
+int affinity_cpus();
+
 /// Reads the last-level cache size from
 /// /sys/devices/system/cpu/cpu0/cache/index<max>/size; nullopt when the
 /// hierarchy is not exposed (common in containers).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "runtime/affinity.hpp"
 #include "util/check.hpp"
 
 namespace rda::rt {
@@ -59,6 +60,22 @@ void arm_thread_exit_guard(std::uint32_t tid) {
   guard.tid = tid;  // idempotent; also silences unused-variable concerns
 }
 
+/// Spinning only pays if the releaser runs on another CPU; a one-CPU mask
+/// is the sign it cannot (measured in gate.hpp's header). Read once per
+/// thread, on its first spin attempt.
+bool thread_may_spin() {
+  thread_local const bool multi = affinity_cpus() > 1;
+  return multi;
+}
+
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
 }  // namespace
 
 AdmissionGate::AdmissionGate(GateConfig config)
@@ -100,6 +117,16 @@ AdmissionGate::AdmissionGate(GateConfig config)
             granted_[token] = g.period;
             ping = true;
           }
+          // Consumed entries of exited threads would pile up under thread
+          // churn: drop them whenever the map doubles past its last sweep.
+          if (granted_.size() >= grant_sweep_at_) {
+            std::erase_if(granted_, [](const auto& entry) {
+              return entry.second == core::kInvalidPeriod;
+            });
+            grant_sweep_at_ =
+                std::max(kGrantSweepFloor, 2 * granted_.size());
+          }
+          deliveries_.fetch_add(1, std::memory_order_release);
         }
         if (ping) cv_.notify_all();
       });
@@ -116,6 +143,7 @@ AdmissionGate::AdmissionGate(GateConfig config)
             evicted_[static_cast<std::uint32_t>(n.thread)] = {n.period,
                                                               n.reason};
           }
+          deliveries_.fetch_add(1, std::memory_order_release);
         }
         cv_.notify_all();
       });
@@ -177,9 +205,11 @@ std::optional<core::PeriodId> AdmissionGate::begin_impl(
   if (wait_channel_dirty_.load(std::memory_order_acquire)) {
     std::lock_guard<std::mutex> lock(wait_mu_);
     // Scrub leftovers from the thread's previous period: a recovery path
-    // may have returned before its (injected-away or late) grant landed.
-    // Anything present now predates the period this begin creates.
-    granted_.erase(tid);
+    // may have returned before its (injected-away or late) verdict landed.
+    // Anything present now predates the period this begin creates. A stale
+    // grant is marked consumed in place, so the next grant reuses its entry.
+    const auto g = granted_.find(tid);
+    if (g != granted_.end()) g->second = core::kInvalidPeriod;
     evicted_.erase(tid);
     dropped_.erase(tid);
     const auto it = groups_.find(tid);
@@ -231,29 +261,72 @@ std::optional<core::PeriodId> AdmissionGate::begin_impl(
   return outcome.id;
 }
 
+bool AdmissionGate::settled(std::uint32_t tid, core::PeriodId id) const {
+  const auto g = granted_.find(tid);
+  if (g != granted_.end() && g->second == id) return true;
+  const auto e = evicted_.find(tid);
+  return e != evicted_.end() && e->second.first == id;
+}
+
+bool AdmissionGate::spin(std::unique_lock<std::mutex>& lock, std::uint32_t tid,
+                         core::PeriodId id, std::chrono::nanoseconds cap) {
+  bool idle = false;
+  if (!thread_may_spin() ||
+      !spinning_.compare_exchange_strong(idle, true,
+                                         std::memory_order_acquire)) {
+    return false;
+  }
+  const auto start = std::chrono::steady_clock::now();
+  const auto until = start + std::min(kSpinBudget, cap);
+  // Deliveries bump the counter under wait_mu_, so one read under the lock
+  // after a failed check means any later verdict moves it.
+  lock.lock();
+  bool done = settled(tid, id);
+  std::uint64_t seen = deliveries_.load(std::memory_order_relaxed);
+  if (!done) lock.unlock();
+  while (!done && std::chrono::steady_clock::now() < until) {
+    cpu_relax();
+    const std::uint64_t now_seen =
+        deliveries_.load(std::memory_order_acquire);
+    if (now_seen == seen) continue;
+    seen = now_seen;
+    lock.lock();
+    done = settled(tid, id);
+    if (!done) lock.unlock();
+  }
+  const auto spun = std::chrono::steady_clock::now() - start;
+  if (done) spun_waits_.fetch_add(1, std::memory_order_relaxed);
+  spinning_.store(false, std::memory_order_release);
+  atomic_add(spin_seconds_, std::chrono::duration<double>(spun).count());
+  return done;
+}
+
 AdmissionGate::WaitOutcome AdmissionGate::plain_wait(
     std::uint32_t tid, core::PeriodId id, WaitMode mode,
     std::chrono::nanoseconds timeout) {
-  std::unique_lock<std::mutex> lock(wait_mu_);
-  // Paper-faithful cooperative path: one predicate wait. Grants AND
-  // evictions ping cv_, so the predicate covers both and no fate can slip
-  // past a sleeping waiter.
-  const auto ready = [&] {
-    const auto g = granted_.find(tid);
-    if (g != granted_.end() && g->second == id) return true;
-    const auto e = evicted_.find(tid);
-    return e != evicted_.end() && e->second.first == id;
-  };
-  bool woke = true;
-  if (mode == WaitMode::kBlocking) {
-    cv_.wait(lock, ready);
-  } else {
-    woke = cv_.wait_for(lock, timeout, ready);
+  // Paper-faithful cooperative path: a bounded spin, then one predicate
+  // wait. Grants AND evictions bump deliveries_ and ping cv_, so the
+  // predicate covers both and no fate can slip past a spinning or sleeping
+  // waiter.
+  const auto start = std::chrono::steady_clock::now();
+  const bool timed = mode == WaitMode::kTimed;
+  std::unique_lock<std::mutex> lock(wait_mu_, std::defer_lock);
+  bool woke = spin(lock, tid, id, timed ? timeout : kSpinBudget);
+  if (!woke) {
+    lock.lock();
+    const auto ready = [&] { return settled(tid, id); };
+    if (timed) {
+      const auto left = timeout - (std::chrono::steady_clock::now() - start);
+      woke = cv_.wait_for(lock, left, ready);
+    } else {
+      cv_.wait(lock, ready);
+      woke = true;
+    }
   }
   if (woke) {
     const auto g = granted_.find(tid);
     if (g != granted_.end() && g->second == id) {
-      granted_.erase(g);
+      g->second = core::kInvalidPeriod;  // consumed in place
       return {id, nullptr};
     }
     const auto e = evicted_.find(tid);
@@ -301,10 +374,11 @@ AdmissionGate::WaitOutcome AdmissionGate::hardened_wait(
       const auto g = granted_.find(tid);
       if (g != granted_.end()) {
         if (g->second == id) {
-          granted_.erase(g);
+          g->second = core::kInvalidPeriod;  // consumed in place
           return {id, nullptr};
         }
-        granted_.erase(g);  // stale: late delivery for a recovered period
+        // Stale: a late delivery for a recovered period, or consumed.
+        g->second = core::kInvalidPeriod;
       }
       const auto e = evicted_.find(tid);
       if (e != evicted_.end()) {
@@ -373,7 +447,10 @@ AdmissionGate::WaitOutcome AdmissionGate::hardened_wait(
       std::unique_lock<std::mutex> lock(wait_mu_);
       // A verdict may have landed between the probes and this re-lock;
       // sleep only if the channel is still empty for us.
-      if (granted_.count(tid) == 0 && evicted_.count(tid) == 0) {
+      const auto g = granted_.find(tid);
+      const bool granted =
+          g != granted_.end() && g->second != core::kInvalidPeriod;
+      if (!granted && evicted_.count(tid) == 0) {
         cv_.wait_for(lock, wait_dur);
         wait_slices_.fetch_add(1, std::memory_order_relaxed);
       }
@@ -421,7 +498,7 @@ void AdmissionGate::consume_grant(std::uint32_t tid, core::PeriodId id) {
   } else {
     cv_.wait(lock, arrived);
   }
-  granted_.erase(tid);
+  granted_[tid] = core::kInvalidPeriod;  // consumed in place
 }
 
 core::PeriodId AdmissionGate::begin(ResourceKind resource, double demand,
@@ -518,11 +595,18 @@ GateStats AdmissionGate::stats() const {
   s.partitioned_periods = core_.partitioned_periods();
   s.lost_wakes = lost_wakes_.load(std::memory_order_relaxed);
   s.recovered_wakes = recovered_wakes_.load(std::memory_order_relaxed);
+  s.spun_waits = spun_waits_.load(std::memory_order_relaxed);
+  s.spin_seconds = spin_seconds_.load(std::memory_order_relaxed);
   return s;
 }
 
 double AdmissionGate::usage(ResourceKind resource) const {
   return core_.resources().usage(resource);
+}
+
+std::size_t AdmissionGate::grant_entries() const {
+  std::lock_guard<std::mutex> lock(wait_mu_);
+  return granted_.size();
 }
 
 std::size_t AdmissionGate::waiting() const {

@@ -84,7 +84,8 @@ struct Calibration {
   /// registry-shard insert or remove, no kernel entry); charged only when
   /// RdaOptions::fast_path selects this cost model. Calibrated against
   /// Fig. 11's inner-loop point: 524288 calls → ~59% overhead on the same
-  /// dgemm.
+  /// dgemm. A fit to the paper, not a measurement: the native calm call
+  /// costs ~171 ns (DESIGN §4 explains the gap).
   double api_fast_path_cost = util::ns(55);
 
   // --- energy ----------------------------------------------------------------

@@ -1,12 +1,14 @@
 // The calm begin/end round trip allocates nothing once warm: the demands
 // travel in the calling thread's recycled buffer and the registry reuses
-// its slots. Counted by replacing the global operator new for this binary.
+// its slots. A blocked round trip allocates only what the core's wake path
+// does. Counted by replacing the global operator new for this binary.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <thread>
 
 #include "api/pp.hpp"
 
@@ -85,6 +87,46 @@ TEST(CalmRoundTrip, GateBeginEndAllocatesNothing) {
                 [&] { gate.end(gate.begin_multi(two, REUSE_HIGH)); }),
             0u);
   EXPECT_EQ(gate.stats().monitor.blocks, 0u);  // the calm lane served all
+}
+
+// Two threads whose demands (10 MB each on a 15 MB LLC) never fit together
+// hand the cache back and forth: every round, the helper parks behind the
+// main thread's period and is granted when it ends. The grant itself
+// allocates nothing: the gate overwrites the helper's wait-channel entry in
+// place. What remains is ProgressMonitor's per-batch wake vector, one per
+// grant (ROADMAP item 8).
+TEST(BlockedRoundTrip, GrantAllocatesOnlyTheWakeBatch) {
+  rt::GateConfig cfg;
+  cfg.llc_capacity_bytes = static_cast<double>(MB(15));
+  rt::AdmissionGate gate(cfg);
+  const double demand = static_cast<double>(MB(10));
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+  std::atomic<bool> stop{false};
+  std::thread helper([&] {
+    for (int round = 1;; ++round) {
+      while (started.load() < round) {
+        if (stop.load()) return;
+        std::this_thread::yield();
+      }
+      gate.end(gate.begin(RESOURCE_LLC, demand, REUSE_HIGH));
+      finished.store(round);
+    }
+  });
+  int round = 0;
+  const std::uint64_t news = news_per_counted_runs([&] {
+    const core::PeriodId held = gate.begin(RESOURCE_LLC, demand, REUSE_HIGH);
+    started.store(++round);
+    while (gate.waiting() == 0) std::this_thread::yield();
+    gate.end(held);
+    while (finished.load() < round) std::this_thread::yield();
+  });
+  stop.store(true);
+  helper.join();
+  const rt::GateStats stats = gate.stats();
+  EXPECT_EQ(stats.monitor.blocks, static_cast<std::uint64_t>(round));
+  EXPECT_EQ(stats.waits, stats.monitor.blocks);
+  EXPECT_EQ(news, static_cast<std::uint64_t>(kCounted));  // one per round
 }
 
 }  // namespace

@@ -193,6 +193,7 @@ TEST(ObsReconcile, NativeGateWaitsReconcile) {
   obs::WaitStatsCheck gate_side;
   gate_side.waits = run.stats_.waits;
   gate_side.no_sleep_blocks = run.stats_.no_sleep_blocks;
+  gate_side.spun_waits = run.stats_.spun_waits;
   gate_side.total_wait_seconds = run.stats_.total_wait_seconds;
   const obs::ReconcileReport waits =
       obs::reconcile_waits(run.events_, run.histogram_, gate_side);
@@ -240,6 +241,7 @@ TEST(ObsReconcile, WaitMismatchesAreDetected) {
   obs::WaitStatsCheck gate_side;
   gate_side.waits = run.stats_.waits;
   gate_side.no_sleep_blocks = run.stats_.no_sleep_blocks;
+  gate_side.spun_waits = run.stats_.spun_waits;
   gate_side.total_wait_seconds = run.stats_.total_wait_seconds;
   report = obs::reconcile_waits(run.events_, padded, gate_side);
   EXPECT_FALSE(report.ok);
@@ -250,6 +252,13 @@ TEST(ObsReconcile, WaitMismatchesAreDetected) {
   report = obs::reconcile_waits(run.events_, run.histogram_, drifted);
   EXPECT_FALSE(report.ok);
   EXPECT_NE(report.message.find("total_wait_seconds"), std::string::npos);
+
+  // More spun waits than waits: a spin counted outside any wait.
+  obs::WaitStatsCheck overspun = gate_side;
+  overspun.spun_waits = gate_side.waits + 1;
+  report = obs::reconcile_waits(run.events_, run.histogram_, overspun);
+  EXPECT_FALSE(report.ok);
+  EXPECT_NE(report.message.find("spun waits"), std::string::npos);
 }
 
 TEST(ObsReconcile, StructuralInvariantChecked) {

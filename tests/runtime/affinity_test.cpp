@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 namespace rda::rt {
 namespace {
 
@@ -16,6 +18,17 @@ TEST(Affinity, PinToFirstCpuUsuallyWorks) {
 }
 
 TEST(Affinity, NegativeCpuRejected) { EXPECT_FALSE(pin_to_cpu(-1)); }
+
+TEST(Affinity, AffinityCpusCountsTheThreadsMask) {
+  // On a fresh thread, so the pin below leaves the test's own thread alone.
+  std::thread([] {
+    EXPECT_GE(affinity_cpus(), 1);
+    EXPECT_LE(affinity_cpus(), online_cpus());
+    if (pin_to_cpu(0)) {
+      EXPECT_EQ(affinity_cpus(), 1);
+    }
+  }).join();
+}
 
 TEST(Affinity, DetectLlcDoesNotCrash) {
   const auto llc = detect_llc_bytes();

@@ -102,6 +102,7 @@ TEST(FaultGate, LostWakeIsRecoveredBySlicedWait) {
   obs::WaitStatsCheck check;
   check.waits = stats.waits;
   check.no_sleep_blocks = stats.no_sleep_blocks;
+  check.spun_waits = stats.spun_waits;
   check.total_wait_seconds = stats.total_wait_seconds;
   const obs::ReconcileReport report = obs::reconcile_waits(
       recorder.events(), recorder.wait_histogram(), check);

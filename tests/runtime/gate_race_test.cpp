@@ -9,7 +9,9 @@
 //   * wait-accounting drift: hardened sliced waits counted every retry
 //     slice as a separate wait, inflating GateStats::waits.
 // Both are structural in the sharded gate (every fate transition notifies;
-// waits are counted once per logical wait) — these tests keep them so.
+// waits are counted once per logical wait) — these tests keep them so. The
+// spin-then-park cases below pin the same properties for a waiter whose
+// fate lands while it spins instead of sleeping.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,6 +21,7 @@
 #include <thread>
 
 #include "fault/fault.hpp"
+#include "runtime/affinity.hpp"
 #include "runtime/gate.hpp"
 #include "util/units.hpp"
 
@@ -184,6 +187,145 @@ TEST(GateRace, HardenedWaitCountsOneLogicalWait) {
   EXPECT_EQ(stats.no_sleep_blocks, 0u);
   EXPECT_GT(stats.total_wait_seconds, 0.0);
   EXPECT_LT(gate.usage(ResourceKind::kLLC), 1e-6);
+}
+
+// ---------------------------------------------------------------- spinning
+
+constexpr int kSpinRounds = 2000;
+
+/// One round of the spin race on a fresh gate (full spin budget): a waiter
+/// thread parks behind a 10 MB hold, and `settle` runs the moment the
+/// waiter is on the waitlist — busy polling, so it usually lands inside
+/// the waiter's spin. `wait` is the waiter's begin; `may_spin` reports
+/// whether the waiter's affinity mask lets it spin at all.
+struct SpinRound {
+  rt::GateStats stats;
+  bool may_spin = false;
+};
+
+template <typename Wait, typename Settle>
+SpinRound spin_round(Wait&& wait, Settle&& settle) {
+  rt::AdmissionGate gate(plain_config());
+  const core::PeriodId held = gate.begin(
+      ResourceKind::kLLC, static_cast<double>(MB(10)), ReuseLevel::kHigh);
+  SpinRound round;
+  std::atomic<std::uint32_t> token{0};
+  std::thread waiter([&] {
+    round.may_spin = rt::affinity_cpus() > 1;
+    token.store(rt::AdmissionGate::current_thread_token());
+    wait(gate);
+  });
+  while (gate.waiting() == 0) {
+  }
+  settle(gate, held, token.load());
+  waiter.join();
+  round.stats = gate.stats();
+  EXPECT_EQ(gate.waiting(), 0u);
+  EXPECT_LE(round.stats.spun_waits, round.stats.waits);
+  return round;
+}
+
+/// Repeats spin_round until a round's wait settled during the spin (true)
+/// or the rounds run out; a waiter that may not spin must never spin.
+template <typename Wait, typename Settle>
+bool some_round_spun(Wait&& wait, Settle&& settle) {
+  for (int i = 0; i < kSpinRounds; ++i) {
+    const SpinRound round = spin_round(wait, settle);
+    EXPECT_EQ(round.stats.waits, 1u);
+    if (!round.may_spin) {
+      EXPECT_EQ(round.stats.spun_waits, 0u);
+      EXPECT_EQ(round.stats.spin_seconds, 0.0);
+      return true;  // one CPU: the park path is all there is
+    }
+    if (round.stats.spun_waits == 1) return true;
+  }
+  return false;
+}
+
+// A grant that lands while the waiter spins admits it without parking.
+TEST(GateRace, SpinGrantAdmitsWithoutParking) {
+  EXPECT_TRUE(some_round_spun(
+      [](rt::AdmissionGate& gate) {
+        gate.end(gate.begin(ResourceKind::kLLC, static_cast<double>(MB(10)),
+                            ReuseLevel::kHigh));
+      },
+      [](rt::AdmissionGate& gate, core::PeriodId held, std::uint32_t) {
+        gate.end(held);
+      }));
+}
+
+// A grant that comes after the spin budget ran out still wakes the parked
+// waiter, and the expired spin is accounted.
+TEST(GateRace, GrantAfterSpinBudgetWakesParkedWaiter) {
+  const SpinRound round = spin_round(
+      [](rt::AdmissionGate& gate) {
+        gate.end(gate.begin(ResourceKind::kLLC, static_cast<double>(MB(10)),
+                            ReuseLevel::kHigh));
+      },
+      [](rt::AdmissionGate& gate, core::PeriodId held, std::uint32_t) {
+        std::this_thread::sleep_for(500 * rt::AdmissionGate::kSpinBudget);
+        gate.end(held);
+      });
+  EXPECT_EQ(round.stats.monitor.ends, 2u);
+  EXPECT_EQ(round.stats.waits, 1u);
+  EXPECT_EQ(round.stats.spun_waits, 0u);
+  if (round.may_spin) {
+    EXPECT_GE(round.stats.spin_seconds,
+              std::chrono::duration<double>(rt::AdmissionGate::kSpinBudget)
+                  .count());
+  }
+}
+
+// A reap during the spin evicts a blocking waiter with AdmissionRejected...
+TEST(GateRace, SpinEvictionRejectsBlockingWaiter) {
+  EXPECT_TRUE(some_round_spun(
+      [](rt::AdmissionGate& gate) {
+        EXPECT_THROW(gate.begin(ResourceKind::kLLC,
+                                static_cast<double>(MB(10)),
+                                ReuseLevel::kHigh),
+                     rt::AdmissionRejected);
+      },
+      [](rt::AdmissionGate& gate, core::PeriodId held, std::uint32_t token) {
+        gate.reap_thread(token);
+        EXPECT_EQ(gate.stats().monitor.reclaims, 1u);
+        gate.end(held);
+      }));
+}
+
+// ...and a timed waiter with nullopt, long before its timeout.
+TEST(GateRace, SpinEvictionEndsTimedWaiter) {
+  EXPECT_TRUE(some_round_spun(
+      [](rt::AdmissionGate& gate) {
+        EXPECT_FALSE(gate.begin_for(ResourceKind::kLLC,
+                                    static_cast<double>(MB(10)),
+                                    ReuseLevel::kHigh, 30s)
+                         .has_value());
+      },
+      [](rt::AdmissionGate& gate, core::PeriodId held, std::uint32_t token) {
+        gate.reap_thread(token);
+        gate.end(held);
+      }));
+}
+
+// A thread whose affinity mask holds one CPU never spins: it would only
+// hold the CPU its releaser may need.
+TEST(GateRace, OneCpuWaiterNeverSpins) {
+  bool pinnable = false;
+  std::thread([&pinnable] { pinnable = rt::pin_to_cpu(0); }).join();
+  if (!pinnable) return;  // nothing to check where threads cannot be pinned
+  for (int i = 0; i < 20; ++i) {
+    const SpinRound round = spin_round(
+        [](rt::AdmissionGate& gate) {
+          ASSERT_TRUE(rt::pin_to_cpu(0));
+          gate.end(gate.begin(ResourceKind::kLLC,
+                              static_cast<double>(MB(10)), ReuseLevel::kHigh));
+        },
+        [](rt::AdmissionGate& gate, core::PeriodId held, std::uint32_t) {
+          gate.end(held);
+        });
+    EXPECT_EQ(round.stats.spun_waits, 0u);
+    EXPECT_EQ(round.stats.spin_seconds, 0.0);
+  }
 }
 
 }  // namespace

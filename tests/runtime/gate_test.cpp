@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -476,6 +477,197 @@ TEST(AdmissionGate, CalmLaneTraceCarriesGateEpochTimes) {
   EXPECT_EQ(last.size(), static_cast<std::size_t>(kThreads));
   const obs::ReconcileReport report = obs::reconcile(events, stats.monitor);
   EXPECT_TRUE(report.ok) << report.message;
+}
+
+// A timed wait spins at most its timeout: with a timeout a tenth of the
+// spin budget, the begin times out, leaves nothing parked, and its spin
+// stops well inside the budget. Each round uses a fresh gate, so every
+// round starts with the full budget; the shortest spin is the one
+// preemption left alone. (The spin is timed rather than the whole begin,
+// whose admit and withdraw a sanitizer build slows to about the budget.)
+TEST(AdmissionGate, BeginForShorterThanSpinBudgetReturnsOnTime) {
+  const double budget =
+      std::chrono::duration<double>(AdmissionGate::kSpinBudget).count();
+  double shortest_spin = budget;
+  for (int round = 0; round < 20; ++round) {
+    AdmissionGate gate(strict_config());
+    HeldPeriod big(gate, static_cast<double>(MB(12)));
+    const auto start = std::chrono::steady_clock::now();
+    const auto denied =
+        gate.begin_for(ResourceKind::kLLC, static_cast<double>(MB(8)),
+                       ReuseLevel::kHigh, AdmissionGate::kSpinBudget / 10);
+    EXPECT_LT(std::chrono::steady_clock::now() - start, 1s);
+    EXPECT_FALSE(denied.has_value());
+    EXPECT_EQ(gate.waiting(), 0u);
+    const GateStats stats = gate.stats();
+    EXPECT_EQ(stats.spun_waits, 0u);
+    shortest_spin = std::min(shortest_spin, stats.spin_seconds);
+    big.release();
+  }
+  EXPECT_LT(shortest_spin, budget / 2);
+}
+
+// Four waiters blocked at once: at most one spins at a time, and all four
+// are admitted. Spins that never overlap fit end to end between the start
+// signal and the end of the last spin, so their sum (spin_seconds) cannot
+// exceed that window; four spinners overlapping would sum to about four
+// budgets inside roughly one. The window's end is taken when the watcher
+// sees spin_seconds last move, which is never before the spin ended, so
+// preemption can widen the window but never fail the check.
+TEST(AdmissionGate, FourBlockedWaitersShareOneSpinner) {
+  constexpr int kWaiters = 4;
+  for (int round = 0; round < 5; ++round) {
+    AdmissionGate gate(strict_config());
+    const auto held = gate.begin(ResourceKind::kLLC,
+                                 static_cast<double>(MB(10)),
+                                 ReuseLevel::kHigh);
+    std::atomic<bool> go{false};
+    std::atomic<int> admitted{0};
+    std::vector<std::thread> waiters;
+    for (int w = 0; w < kWaiters; ++w) {
+      waiters.emplace_back([&] {
+        while (!go.load()) {
+        }
+        gate.end(gate.begin(ResourceKind::kLLC, static_cast<double>(MB(10)),
+                            ReuseLevel::kHigh));
+        admitted.fetch_add(1);
+      });
+    }
+    const auto start = std::chrono::steady_clock::now();
+    go.store(true);
+    // Watch until every waiter is parked and no spin has ended for 20
+    // budgets. Each spin counted in `spun` ended before the read that saw
+    // it, and `last_move` is taken after that read.
+    double spun = 0.0;
+    auto last_move = start;
+    for (;;) {
+      const double now_spun = gate.stats().spin_seconds;
+      const auto now = std::chrono::steady_clock::now();
+      if (now_spun != spun) {
+        spun = now_spun;
+        last_move = now;
+      }
+      if (gate.waiting() == kWaiters &&
+          now - last_move >= 20 * AdmissionGate::kSpinBudget) {
+        break;
+      }
+      std::this_thread::sleep_for(10us);
+    }
+    EXPECT_EQ(gate.stats().spun_waits, 0u);
+    EXPECT_LE(spun, std::chrono::duration<double>(last_move - start).count());
+    gate.end(held);
+    for (std::thread& th : waiters) th.join();
+    const GateStats stats = gate.stats();
+    EXPECT_EQ(admitted.load(), kWaiters);
+    EXPECT_EQ(stats.monitor.begins, stats.monitor.ends);
+    EXPECT_EQ(stats.waits, static_cast<std::uint64_t>(kWaiters));
+    EXPECT_EQ(gate.waiting(), 0u);
+    EXPECT_LT(gate.usage(ResourceKind::kLLC), 1e-6);
+  }
+}
+
+// Four threads whose demands never fit two at a time take turns through
+// many parks, most settled in the spin: every period is admitted, the
+// block accounting holds, and the spins (never overlapping) add up to no
+// more than the wall time.
+TEST(AdmissionGate, SpinChurnAdmitsEveryPeriod) {
+  constexpr int kThreads = 4;
+  constexpr int kPeriods = 200;
+  AdmissionGate gate(strict_config());
+  std::atomic<int> admitted{0};
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kPeriods; ++i) {
+        const auto id = gate.begin(ResourceKind::kLLC,
+                                   static_cast<double>(MB(10)),
+                                   ReuseLevel::kHigh);
+        admitted.fetch_add(1);
+        const auto until = std::chrono::steady_clock::now() + 10us;
+        while (std::chrono::steady_clock::now() < until) {
+        }
+        gate.end(id);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+
+  const GateStats stats = gate.stats();
+  EXPECT_EQ(admitted.load(), kThreads * kPeriods);
+  EXPECT_EQ(stats.monitor.begins, stats.monitor.ends);
+  EXPECT_EQ(stats.waits + stats.no_sleep_blocks, stats.monitor.blocks);
+  EXPECT_GT(stats.waits, 0u);
+  EXPECT_LE(stats.spun_waits, stats.waits);
+  EXPECT_LE(stats.spin_seconds, wall);
+  EXPECT_EQ(gate.waiting(), 0u);
+  EXPECT_LT(gate.usage(ResourceKind::kLLC), 1e-6);
+}
+
+// A 10 MB demand on a 15 MB Strict gate always fits alone, so the liveness
+// override (meant for demands over the bound) must never force one through.
+// It used to when a lock-free release freed the budget between a failed
+// admission and the override's free-targets check; the forced charge then
+// ran beside a lock-free admission of the same freed budget, two periods
+// inside at once. A few forced admissions showed up per round of 4 x 200.
+TEST(AdmissionGate, FittingDemandsAreNeverForced) {
+  constexpr int kThreads = 4;
+  constexpr int kPeriods = 200;
+  for (int round = 0; round < 10; ++round) {
+    AdmissionGate gate(strict_config());
+    std::atomic<int> inside{0};
+    std::atomic<int> most_inside{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&] {
+        for (int i = 0; i < kPeriods; ++i) {
+          const auto id = gate.begin(ResourceKind::kLLC,
+                                     static_cast<double>(MB(10)),
+                                     ReuseLevel::kHigh);
+          const int now_inside = inside.fetch_add(1) + 1;
+          int most = most_inside.load();
+          while (now_inside > most &&
+                 !most_inside.compare_exchange_weak(most, now_inside)) {
+          }
+          inside.fetch_sub(1);
+          gate.end(id);
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    const GateStats stats = gate.stats();
+    EXPECT_EQ(stats.monitor.forced_admissions, 0u);
+    EXPECT_EQ(most_inside.load(), 1);
+    EXPECT_EQ(stats.monitor.begins, stats.monitor.ends);
+    EXPECT_EQ(gate.waiting(), 0u);
+  }
+}
+
+// Short-lived threads each granted once leave consumed entries in the
+// grant channel; the sweep keeps them from piling up one per thread.
+TEST(AdmissionGate, ThreadChurnKeepsGrantEntriesBounded) {
+  constexpr int kThreads = 200;
+  AdmissionGate gate(strict_config());
+  for (int t = 0; t < kThreads; ++t) {
+    const auto held = gate.begin(ResourceKind::kLLC,
+                                 static_cast<double>(MB(10)),
+                                 ReuseLevel::kHigh);
+    std::thread worker([&] {
+      gate.end(gate.begin(ResourceKind::kLLC, static_cast<double>(MB(10)),
+                          ReuseLevel::kHigh));
+    });
+    while (gate.waiting() == 0) std::this_thread::sleep_for(10us);
+    gate.end(held);
+    worker.join();
+  }
+  const GateStats stats = gate.stats();
+  EXPECT_EQ(stats.waits, static_cast<std::uint64_t>(kThreads));
+  // Without the sweep: one entry per worker, 200.
+  EXPECT_LE(gate.grant_entries(), 64u);
+  EXPECT_GT(gate.grant_entries(), 0u);
 }
 
 }  // namespace
