@@ -139,6 +139,17 @@ build/tools/fault_matrix --seed 1 --seeds 2 --jobs 1 \
   --out "$smoke_dir/fault_serial.csv"
 cmp "$smoke_dir/fault_par.csv" "$smoke_dir/fault_serial.csv"
 
+echo "== tier-1: fault matrix and scheduler simulator (pinned stdout) =="
+# The fault-matrix CSV (watchdog, reclaim and ledger counters per cell) and
+# the simulator's Water_nsq policy table must match their committed stdout
+# byte for byte; the fault matrix at any --jobs fan-out.
+for jobs in 1 "$(nproc)"; do
+  build/tools/fault_matrix --seed 1 --seeds 2 --jobs "$jobs" \
+    | cmp - tests/fault/fault_matrix.expected
+done
+build/tools/rda_sched_sim --workload Water_nsq --policy all --quick \
+  | cmp - tests/tools/rda_sched_sim_water_nsq.expected
+
 echo "== tier-1: cluster placement outputs (pinned stdout) =="
 # The two programs that drive src/cluster print deterministic tables; each
 # must match its committed stdout byte for byte, at any --jobs fan-out.

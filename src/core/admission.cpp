@@ -120,15 +120,49 @@ bool AdmissionCore::fast_admit(AdmitRequest& request, LazyTime& now,
   return true;
 }
 
+namespace {
+
+/// Set when the calling thread's spare batch is destroyed. A plain bool
+/// has no destructor, so it stays readable through the rest of thread
+/// exit: the gate's exit guard reaps from a thread_local destructor that
+/// may run after the spare's.
+thread_local bool spare_gone = false;
+
+/// Per-thread recycled wake batch: on_slow_lane takes it, the monitor's
+/// pending lists swap their filled buffers into it, and after delivery it
+/// comes back cleared. Buffers circulate between the spare and the
+/// monitor instead of being allocated per grant.
+struct SpareDelivery {
+  ProgressMonitor::PendingDelivery batch;
+  ~SpareDelivery() { spare_gone = true; }
+};
+
+/// The thread's spare, or null once thread exit has destroyed it.
+ProgressMonitor::PendingDelivery* spare_delivery() {
+  if (spare_gone) return nullptr;
+  thread_local SpareDelivery spare;
+  return &spare.batch;
+}
+
+}  // namespace
+
 template <typename Fn>
 void AdmissionCore::on_slow_lane(Fn&& fn) {
+  // Take the thread's spare buffers; a slow-lane call made from inside a
+  // wake callback finds the spare empty and allocates its own, and one
+  // made after the spare's destruction keeps its buffers local.
+  ProgressMonitor::PendingDelivery* spare = spare_delivery();
   ProgressMonitor::PendingDelivery pending;
+  if (spare != nullptr) pending = std::move(*spare);
   {
     std::lock_guard<std::mutex> lock(slow_mu_);
     ProgressMonitor::WakeBatch batch(monitor_, &pending);
     fn();
   }
-  monitor_.deliver(std::move(pending));
+  monitor_.deliver(pending);
+  pending.wakes.clear();
+  pending.evicts.clear();
+  if (spare != nullptr) *spare = std::move(pending);
 }
 
 AdmitTicket AdmissionCore::slow_admit(AdmitRequest request, double now,
@@ -418,27 +452,6 @@ bool AdmissionCore::watchdog_stalled(double now) {
 bool AdmissionCore::is_admitted(PeriodId id) const {
   std::lock_guard<std::mutex> lock(slow_mu_);
   return monitor_.is_admitted(id);
-}
-
-bool AdmissionCore::is_rejected(PeriodId id) const {
-  std::lock_guard<std::mutex> lock(slow_mu_);
-  return monitor_.is_rejected(id);
-}
-
-bool AdmissionCore::take_rejection(PeriodId id) {
-  std::lock_guard<std::mutex> lock(slow_mu_);
-  return monitor_.take_rejection(id);
-}
-
-std::optional<PeriodId> AdmissionCore::take_rejection_for_thread(
-    sim::ThreadId thread) {
-  std::lock_guard<std::mutex> lock(slow_mu_);
-  return monitor_.take_rejection_for_thread(thread);
-}
-
-std::vector<sim::ThreadId> AdmissionCore::rejected_threads() const {
-  std::lock_guard<std::mutex> lock(slow_mu_);
-  return monitor_.rejected_threads();
 }
 
 bool AdmissionCore::is_reclaimed(PeriodId id) const {

@@ -43,8 +43,8 @@
 // lets a wake callback re-enter the core — the sim engine's death-at-wake
 // fault path reaps the dying thread from inside the wake. The woken period is
 // already marked admitted before its wake is delivered, so a waiter that
-// probes its fate (is_admitted / take_rejection / …, all under the slow
-// mutex) instead of sleeping observes a consistent verdict.
+// probes its fate (is_admitted / take_reclaimed, both under the slow mutex)
+// instead of sleeping observes a consistent verdict.
 #pragma once
 
 #include <array>
@@ -193,7 +193,7 @@ struct ReleaseTicket {
 enum class WithdrawResult {
   kCancelled,        ///< was waitlisted; now cancelled
   kAlreadyAdmitted,  ///< the grant won the race; caller owns the admission
-  kGone,             ///< already rejected/reclaimed/unknown
+  kGone,             ///< already reclaimed/unknown
 };
 
 class AdmissionCore {
@@ -210,8 +210,8 @@ class AdmissionCore {
   void set_batch_waker(ProgressMonitor::BatchWakeFn waker) {
     monitor_.set_batch_waker(std::move(waker));
   }
-  /// Eviction notices (watchdog rung 3, waitlisted-orphan reclaim): lets
-  /// the substrate rouse a sleeping owner that will never get a grant.
+  /// Eviction notices (waitlisted-orphan reclaim): lets the substrate
+  /// rouse a sleeping owner that will never get a grant.
   void set_evict_notifier(ProgressMonitor::EvictFn notifier) {
     monitor_.set_evict_notifier(std::move(notifier));
   }
@@ -256,8 +256,8 @@ class AdmissionCore {
   bool withdraw(PeriodId id, double now);
 
   /// Race-tolerant withdraw: like withdraw(), but an id that vanished
-  /// (watchdog rejection, orphan reclaim) reports kGone instead of
-  /// throwing, and a won-by-the-grant race reports kAlreadyAdmitted.
+  /// (orphan reclaim) reports kGone instead of throwing, and a
+  /// won-by-the-grant race reports kAlreadyAdmitted.
   WithdrawResult try_withdraw(PeriodId id, double now);
 
   /// pp_end. Feeds observed counters to the demand corrector, releases the
@@ -310,15 +310,11 @@ class AdmissionCore {
   bool watchdog_stalled(double now);
 
   /// Post-wait state probes for the substrates: a granted period shows as
-  /// admitted; a watchdog-rejected or reaped-while-waiting one never gets a
-  /// wake grant and must be discovered (and consumed) through these. All
-  /// take the slow mutex: an operation's wakes are flushed before its
-  /// effects become observable here.
+  /// admitted; a reaped-while-waiting one never gets a wake grant and must
+  /// be discovered (and consumed) through these. All take the slow mutex:
+  /// an operation's wakes are flushed before its effects become observable
+  /// here.
   bool is_admitted(PeriodId id) const;
-  bool is_rejected(PeriodId id) const;
-  bool take_rejection(PeriodId id);
-  std::optional<PeriodId> take_rejection_for_thread(sim::ThreadId thread);
-  std::vector<sim::ThreadId> rejected_threads() const;
   bool is_reclaimed(PeriodId id) const;
   bool take_reclaimed(PeriodId id);
 
@@ -380,7 +376,9 @@ class AdmissionCore {
   bool fast_admit(AdmitRequest& request, LazyTime& now, bool partitioned,
                   double declared, AdmitTicket& ticket);
   /// Runs `fn` under slow_mu_ inside a redirected WakeBatch, then delivers
-  /// the wakes and evictions it captured after the mutex is released.
+  /// the wakes and evictions it captured after the mutex is released. The
+  /// batch lands in the calling thread's recycled buffers, so a slow-lane
+  /// call allocates no wake list once warm.
   template <typename Fn>
   void on_slow_lane(Fn&& fn);
   /// Kept out of line: inlined into admit(), it enlarged the calm lane's

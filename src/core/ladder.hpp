@@ -1,5 +1,5 @@
 // EscalationLadder: the rung state machine shared by the starvation
-// watchdog (clamp → force → reject), the service overload control (clamp
+// watchdog (clamp → force), the service overload control (clamp
 // → oversubscribe → shed) and the tenant penalty ladder (haircut →
 // surcharge → deprioritize → quota). Each caller keeps its own rung
 // actions, stats and events, keyed off the move a call returns.

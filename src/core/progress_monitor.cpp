@@ -59,7 +59,7 @@ void ProgressMonitor::wake_entry(const Waitlist::Entry& entry, double now,
   if (notify) pending_wakes_.push_back({entry.thread, entry.period});
 }
 
-void ProgressMonitor::deliver(PendingDelivery batch) {
+void ProgressMonitor::deliver(const PendingDelivery& batch) {
   if (!batch.wakes.empty() && batch_waker_) batch_waker_(batch.wakes);
   if (!batch.evicts.empty() && evict_notifier_) evict_notifier_(batch.evicts);
 }
@@ -67,14 +67,17 @@ void ProgressMonitor::deliver(PendingDelivery batch) {
 void ProgressMonitor::flush_batch() {
   // Callbacks run outside any batch; should one re-enter the monitor, the
   // nested operation opens its own batch and drains its own additions.
+  PendingDelivery batch;
   while (!pending_wakes_.empty() || !pending_evicts_.empty()) {
-    std::vector<WakeGrant> wakes;
-    wakes.swap(pending_wakes_);
-    std::vector<EvictNotice> evicts;
-    evicts.swap(pending_evicts_);
-    if (!wakes.empty() && batch_waker_) batch_waker_(wakes);
-    if (!evicts.empty() && evict_notifier_) evict_notifier_(evicts);
+    batch.wakes.swap(pending_wakes_);
+    batch.evicts.swap(pending_evicts_);
+    deliver(batch);
+    batch.wakes.clear();
+    batch.evicts.clear();
   }
+  // Hand the delivered buffers back, so the next batch allocates nothing.
+  pending_wakes_.swap(batch.wakes);
+  pending_evicts_.swap(batch.evicts);
 }
 
 bool ProgressMonitor::try_admit_pool(sim::ProcessId process, bool force,
@@ -349,7 +352,7 @@ void ProgressMonitor::watchdog_rounds(double now) {
   const std::uint32_t rounds = options_.watchdog.max_wake_rounds;
   if (rounds == 0) return;
   escalate_where(now, /*first_only=*/false, [rounds](Waitlist::Entry& e) {
-    return e.ladder.worse(rounds, kRejectRung);
+    return e.ladder.worse(rounds, kForceRung);
   });
 }
 
@@ -359,7 +362,7 @@ bool ProgressMonitor::watchdog_tick(double now) {
   if (!wd.enable || wd.max_wait_seconds <= 0.0) return false;
   return escalate_where(now, /*first_only=*/false, [&](Waitlist::Entry& e) {
     return now - e.last_escalation_time >= wd.max_wait_seconds &&
-           e.ladder.climb(kRejectRung);
+           e.ladder.climb(kForceRung);
   });
 }
 
@@ -367,7 +370,7 @@ bool ProgressMonitor::watchdog_stalled(double now) {
   WakeBatch batch(*this);
   if (!options_.watchdog.enable) return false;
   return escalate_where(now, /*first_only=*/true, [](Waitlist::Entry& e) {
-    return e.ladder.climb(kRejectRung);
+    return e.ladder.climb(kForceRung);
   });
 }
 
@@ -396,69 +399,45 @@ bool ProgressMonitor::escalate(std::size_t index, double now) {
   // something actually exceeds the bound — a feasible-but-starved waiter
   // (leaked capacity, lost wake) climbs straight on to the next rung.
   if (e.ladder.rung() == 1) {
-    if (wd.clamp) {
-      bool clamped = false;
-      for (ResourceDemand& d : record->demands) {
-        const double bound =
-            wd.clamp_fraction * resources_->capacity(d.resource);
-        if (d.amount > bound) {
-          d.amount = bound;
-          clamped = true;
-        }
-      }
-      if (clamped) {
-        e.demand = record->primary_demand();
-        ++stats_.demand_clamps;
-        trace(obs::EventKind::kDemandClamp, now, *record);
-        if (!(options_.pool_guard && pool_disabled(e.process)) &&
-            predicate_->try_schedule(*record)) {
-          const Waitlist::Entry woken = waitlist_.remove_at(index);
-          admit(woken.period);
-          wake_entry(woken, now);
-          return true;
-        }
-        // Feasible now; competes normally from here on.
-        return false;
+    bool clamped = false;
+    for (ResourceDemand& d : record->demands) {
+      const double bound = wd.clamp_fraction * resources_->capacity(d.resource);
+      if (d.amount > bound) {
+        d.amount = bound;
+        clamped = true;
       }
     }
-    e.ladder.climb(kRejectRung);
+    if (clamped) {
+      e.demand = record->primary_demand();
+      ++stats_.demand_clamps;
+      trace(obs::EventKind::kDemandClamp, now, *record);
+      if (!(options_.pool_guard && pool_disabled(e.process)) &&
+          predicate_->try_schedule(*record)) {
+        const Waitlist::Entry woken = waitlist_.remove_at(index);
+        admit(woken.period);
+        wake_entry(woken, now);
+        return true;
+      }
+      // Feasible now; competes normally from here on.
+      return false;
+    }
+    e.ladder.climb(kForceRung);
   }
 
   // Rung 2: forced admission, with the charge mirrored into the separate
   // oversubscription tally so the conservation ledger can audit it.
-  if (e.ladder.rung() == 2) {
-    if (wd.force_admit) {
-      for (const ResourceDemand& d : record->demands) {
-        resources_->increment_load(d.resource, d.amount, record->stripe);
-        resources_->add_oversubscribed(d.resource, d.amount);
-      }
-      record->oversub = true;
-      admit(e.period);
-      ++stats_.forced_admissions;
-      ++stats_.watchdog_force_admissions;
-      trace(obs::EventKind::kForceAdmit, now, *record);
-      const Waitlist::Entry woken = waitlist_.remove_at(index);
-      wake_entry(woken, now);
-      return true;
-    }
-    e.ladder.climb(kRejectRung);
+  for (const ResourceDemand& d : record->demands) {
+    resources_->increment_load(d.resource, d.amount, record->stripe);
+    resources_->add_oversubscribed(d.resource, d.amount);
   }
-
-  // Rung 3: evict with an error. No wake grant — the substrate surfaces
-  // the rejection to the sleeping owner via take_rejection* and the
-  // batched eviction notice.
-  if (wd.reject) {
-    const Waitlist::Entry evicted = waitlist_.remove_at(index);
-    const PeriodRecord closed = registry_.remove(evicted.period);
-    ++stats_.rejections;
-    trace(obs::EventKind::kReject, now, closed);
-    rejected_.emplace(closed.id, closed.thread);
-    rejected_by_thread_.emplace(closed.thread, closed.id);
-    pending_evicts_.push_back(
-        {closed.thread, closed.id, "starvation watchdog evicted the request"});
-    return true;
-  }
-  return false;  // ladder fully disabled for this entry; never re-checked
+  record->oversub = true;
+  admit(e.period);
+  ++stats_.forced_admissions;
+  ++stats_.watchdog_force_admissions;
+  trace(obs::EventKind::kForceAdmit, now, *record);
+  const Waitlist::Entry woken = waitlist_.remove_at(index);
+  wake_entry(woken, now);
+  return true;
 }
 
 ProgressMonitor::ReapOutcome ProgressMonitor::reap_period(
@@ -529,37 +508,6 @@ void ProgressMonitor::heartbeat(sim::ThreadId thread) {
   PeriodRecord* record = registry_.find_mutable(*id);
   RDA_CHECK(record != nullptr);
   record->lease_epoch = epoch_.load();
-}
-
-bool ProgressMonitor::take_rejection(PeriodId id) {
-  const auto it = rejected_.find(id);
-  if (it == rejected_.end()) return false;
-  rejected_by_thread_.erase(it->second);
-  rejected_.erase(it);
-  return true;
-}
-
-std::optional<PeriodId> ProgressMonitor::take_rejection_for_thread(
-    sim::ThreadId thread) {
-  const auto it = rejected_by_thread_.find(thread);
-  if (it == rejected_by_thread_.end()) return std::nullopt;
-  const PeriodId id = it->second;
-  rejected_.erase(id);
-  rejected_by_thread_.erase(it);
-  return id;
-}
-
-std::vector<sim::ThreadId> ProgressMonitor::rejected_threads() const {
-  std::vector<std::pair<PeriodId, sim::ThreadId>> pairs(rejected_.begin(),
-                                                        rejected_.end());
-  std::sort(pairs.begin(), pairs.end());
-  std::vector<sim::ThreadId> out;
-  out.reserve(pairs.size());
-  for (const auto& [id, thread] : pairs) {
-    (void)id;
-    out.push_back(thread);
-  }
-  return out;
 }
 
 PeriodRecord ProgressMonitor::discharge(PeriodId id, double now) {

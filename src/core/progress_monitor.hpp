@@ -31,9 +31,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <set>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -61,15 +59,12 @@ struct WatchdogOptions {
   /// measured from enqueue or the previous escalation. Checked only from
   /// watchdog_tick(). 0 disables the time trigger.
   double max_wait_seconds = 0.0;
-  /// Ladder rung 1: clamp each declared demand to clamp_fraction × capacity,
-  /// making an infeasible request feasible (it then competes normally).
-  bool clamp = true;
+  /// Ladder rung 1 clamps each declared demand to clamp_fraction × capacity,
+  /// making an infeasible request feasible (it then competes normally); a
+  /// demand already under the bound is left alone. Rung 2, the top,
+  /// force-admits with the excess booked in the resource monitor's separate
+  /// oversubscription tally.
   double clamp_fraction = 1.0;
-  /// Ladder rung 2: force-admit with the excess booked in the resource
-  /// monitor's separate oversubscription tally.
-  bool force_admit = true;
-  /// Ladder rung 3: evict the waiter with an error the caller observes.
-  bool reject = true;
 };
 
 struct MonitorOptions {
@@ -96,7 +91,9 @@ struct MonitorStats {
   std::uint64_t cancels = 0;       ///< waitlisted requests withdrawn
   std::uint64_t reclaims = 0;      ///< orphaned periods reaped
   std::uint64_t demand_clamps = 0; ///< watchdog rung 1 applications
-  std::uint64_t rejections = 0;    ///< watchdog rung 3 evictions
+  /// Always 0: the watchdog never evicts a waiter. Kept because perfbench's
+  /// ledger checks read it.
+  std::uint64_t rejections = 0;
   /// Watchdog rung-2 admits; a subset of forced_admissions (each also emits
   /// kForceAdmit so the event/stat reconciliation stays one-to-one).
   std::uint64_t watchdog_force_admissions = 0;
@@ -138,9 +135,9 @@ class ProgressMonitor {
   /// each woken thread in turn.
   using BatchWakeFn = std::function<void(const std::vector<WakeGrant>&)>;
 
-  /// A waiter evicted without a wake grant (watchdog rung 3, or reaped off
-  /// the waitlist): the substrate must rouse the sleeping owner so it can
-  /// observe the error instead of sleeping to its timeout.
+  /// A waiter reaped off the waitlist without a wake grant: the substrate
+  /// must rouse the sleeping owner so it can observe the error instead of
+  /// sleeping to its timeout.
   struct EvictNotice {
     sim::ThreadId thread = sim::kInvalidThread;
     PeriodId period = kInvalidPeriod;
@@ -257,14 +254,9 @@ class ProgressMonitor {
   /// rung immediately. Returns true when a waiter moved.
   bool watchdog_stalled(double now);
 
-  /// Rejection / reclaim bookkeeping the substrates poll to surface errors:
-  /// a rejected or reclaimed-while-waiting period never gets a wake grant,
-  /// so its (possibly still sleeping) owner must be able to learn its fate.
-  bool is_rejected(PeriodId id) const { return rejected_.count(id) != 0; }
-  bool take_rejection(PeriodId id);
-  std::optional<PeriodId> take_rejection_for_thread(sim::ThreadId thread);
-  /// Threads with an unconsumed rejection, in period-id order.
-  std::vector<sim::ThreadId> rejected_threads() const;
+  /// Reclaim bookkeeping the substrates poll to surface errors: a period
+  /// reclaimed while waiting never gets a wake grant, so its (possibly
+  /// still sleeping) owner must be able to learn its fate.
   bool is_reclaimed(PeriodId id) const { return reclaimed_.count(id) != 0; }
   bool take_reclaimed(PeriodId id) { return reclaimed_.erase(id) != 0; }
 
@@ -292,7 +284,7 @@ class ProgressMonitor {
 
   /// Invokes the wake/evict callbacks for a captured batch. Call WITHOUT
   /// the core's slow mutex held.
-  void deliver(PendingDelivery batch);
+  void deliver(const PendingDelivery& batch);
 
   /// Scopes one logical monitor operation: wakes/evictions accumulated by
   /// nested calls are flushed when the outermost batch closes. Every public
@@ -311,10 +303,10 @@ class ProgressMonitor {
     ~WakeBatch() {
       if (--monitor_.batch_depth_ != 0) return;
       if (redirect_ != nullptr) {
-        redirect_->wakes = std::move(monitor_.pending_wakes_);
-        redirect_->evicts = std::move(monitor_.pending_evicts_);
-        monitor_.pending_wakes_.clear();
-        monitor_.pending_evicts_.clear();
+        // Swapped, not moved: the pending lists keep the redirect's
+        // (empty, recycled) buffers, so the next wake allocates nothing.
+        redirect_->wakes.swap(monitor_.pending_wakes_);
+        redirect_->evicts.swap(monitor_.pending_evicts_);
       } else {
         monitor_.flush_batch();
       }
@@ -337,8 +329,8 @@ class ProgressMonitor {
   void rescan(double now);
   /// Reap implementation shared by reap_thread and sweep.
   ReapOutcome reap_period(PeriodId id, double now, bool remember_waiter);
-  /// The watchdog ladder's top rung (1 = clamp, 2 = force, 3 = reject).
-  static constexpr int kRejectRung = 3;
+  /// The watchdog ladder's top rung (1 = clamp, 2 = force).
+  static constexpr int kForceRung = 2;
   /// Round-triggered watchdog pass over the entries a rescan left parked.
   void watchdog_rounds(double now);
   /// Escalates, in FIFO order, every parked entry whose `trigger` moved its
@@ -347,9 +339,8 @@ class ProgressMonitor {
   bool escalate_where(double now, bool first_only,
                       const std::function<bool(Waitlist::Entry&)>& trigger);
   /// Applies the action of the rung the entry at `index` has just climbed
-  /// to, climbing on past a rung whose action is disabled or does not
-  /// apply. Returns true when the entry left the waitlist (admitted or
-  /// rejected).
+  /// to, climbing on past a clamp that does not apply. Returns true when
+  /// the entry left the waitlist (admitted).
   bool escalate(std::size_t index, double now);
   /// Group admission check for one disabled pool; admits and wakes the whole
   /// group when it fits. Returns true if the pool was re-enabled.
@@ -375,9 +366,6 @@ class ProgressMonitor {
   MonitorStats stats_;
 
   std::atomic<std::uint64_t> epoch_{0};  ///< lease clock (advance_epoch)
-  /// Unconsumed watchdog rejections, both directions (period↔thread).
-  std::unordered_map<PeriodId, sim::ThreadId> rejected_;
-  std::unordered_map<sim::ThreadId, PeriodId> rejected_by_thread_;
   /// Waitlisted periods reaped out from under a live waiter.
   std::unordered_set<PeriodId> reclaimed_;
 

@@ -31,7 +31,6 @@ RdaScheduler::RdaScheduler(double llc_capacity_bytes,
       core_(to_core_config(llc_capacity_bytes, options)) {}
 
 void RdaScheduler::attach(sim::ThreadWaker& waker) {
-  waker_ = &waker;
   core_.set_batch_waker(
       [&waker](const std::vector<ProgressMonitor::WakeGrant>& grants) {
         for (const ProgressMonitor::WakeGrant& g : grants) waker.wake(g.thread);
@@ -39,10 +38,9 @@ void RdaScheduler::attach(sim::ThreadWaker& waker) {
 }
 
 void RdaScheduler::on_thread_exit(sim::ThreadId thread, double now) {
-  // The dead thread can never consume a reclaimed/rejected notice, so the
-  // reap leaves no bookkeeping behind (remember_waiter = false).
+  // The dead thread can never consume a reclaimed notice, so the reap
+  // leaves no bookkeeping behind (remember_waiter = false).
   core_.reap(thread, now, /*remember_waiter=*/false);
-  rejected_running_.erase(thread);
 }
 
 bool RdaScheduler::pending_admitted(sim::ThreadId thread) const {
@@ -51,20 +49,10 @@ bool RdaScheduler::pending_admitted(sim::ThreadId thread) const {
 }
 
 bool RdaScheduler::on_stall(double now) {
-  bool changed = core_.watchdog_tick(now);
   // Sim time cannot advance while everything is blocked, so the wall-clock
   // trigger alone can never fire here — a stall itself is the proof of
   // starvation.
-  if (!changed) changed = core_.watchdog_stalled(now);
-  // Watchdog rejections never get a Waker grant; resume their owners here
-  // so they run the phase ungated instead of wedging the simulation.
-  for (sim::ThreadId thread : core_.rejected_threads()) {
-    core_.take_rejection_for_thread(thread);
-    rejected_running_.insert(thread);
-    if (waker_ != nullptr) waker_->wake(thread);
-    changed = true;
-  }
-  return changed;
+  return core_.watchdog_tick(now) || core_.watchdog_stalled(now);
 }
 
 sim::BeginResult RdaScheduler::on_phase_begin(sim::ThreadId thread,
@@ -103,13 +91,6 @@ sim::EndResult RdaScheduler::on_phase_end(sim::ThreadId thread,
                                           double now) {
   (void)process;
   (void)phase;
-  if (rejected_running_.erase(thread) != 0) {
-    // The period was watchdog-rejected before it ran; there is nothing to
-    // release — the phase executed ungated.
-    sim::EndResult result;
-    result.call_cost = calib_.api_call_cost;
-    return result;
-  }
   const std::optional<PeriodId> id = core_.active_for_thread(thread);
   RDA_CHECK_MSG(id.has_value(), "phase end from thread "
                                     << thread << " with no active period");

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_set>
 
 #include "core/admission.hpp"
 #include "obs/sink.hpp"
@@ -97,10 +96,6 @@ class RdaScheduler final : public sim::PhaseGate {
   sim::Calibration calib_;
   bool fast_path_ = false;
   AdmissionCore core_;
-  sim::ThreadWaker* waker_ = nullptr;
-  /// Threads running ungated after a watchdog rejection: their next phase
-  /// end has no core period to release.
-  std::unordered_set<sim::ThreadId> rejected_running_;
 };
 
 }  // namespace rda::core

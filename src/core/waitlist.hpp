@@ -45,7 +45,7 @@ class Waitlist {
     /// order candidates without a registry lookup.
     double demand = 0.0;
     /// Starvation-watchdog bookkeeping: the degradation ladder (rung 0 =
-    /// none, 1 = clamp, 2 = force, 3 = reject; its worse streak counts the
+    /// none, 1 = clamp, 2 = force; its worse streak counts the
     /// fruitless rescans survived since the last escalation), and when the
     /// watchdog last acted on (or first saw) this entry.
     EscalationLadder ladder{};

@@ -53,26 +53,21 @@ std::size_t shape_thread_count(const std::string& name) {
 /// fires on wall-clock noise, which would break the byte-determinism the
 /// fault matrix asserts.
 core::WatchdogOptions scenario_watchdog(std::uint32_t max_wake_rounds) {
-  core::WatchdogOptions watchdog;
-  watchdog.enable = true;
-  watchdog.max_wake_rounds = max_wake_rounds;
-  watchdog.max_wait_seconds = 0.0;
-  watchdog.clamp = true;
-  watchdog.clamp_fraction = 0.5;
-  watchdog.force_admit = true;
-  watchdog.reject = true;
-  return watchdog;
+  core::WatchdogOptions wd;
+  wd.enable = true;
+  wd.max_wake_rounds = max_wake_rounds;
+  wd.max_wait_seconds = 0.0;
+  wd.clamp_fraction = 0.5;
+  return wd;
 }
 
 void check_monitor_ledger(ScenarioResult& result,
                           const core::MonitorStats& stats) {
   // Every period that began must have left through exactly one door.
-  const std::uint64_t closed =
-      stats.ends + stats.cancels + stats.reclaims + stats.rejections;
+  const std::uint64_t closed = stats.ends + stats.cancels + stats.reclaims;
   require(result, stats.begins == closed,
           "period leak: begins=" + std::to_string(stats.begins) +
-              " but ends+cancels+reclaims+rejections=" +
-              std::to_string(closed));
+              " but ends+cancels+reclaims=" + std::to_string(closed));
 }
 
 /// Per-resource quiescence ledger, over EVERY configured kind (LLC, DRAM
@@ -118,7 +113,6 @@ void fill_monitor_counters(ScenarioResult& result,
   result.begins = stats.begins;
   result.ends = stats.ends;
   result.reclaims = stats.reclaims;
-  result.rejections = stats.rejections;
   result.demand_clamps = stats.demand_clamps;
   result.force_admissions = stats.watchdog_force_admissions;
 }
@@ -539,7 +533,7 @@ std::vector<ScenarioSpec> scenario_grid(std::uint64_t base_seed,
 
 std::string csv_header() {
   return "name,substrate,seed,ok,failure,faults_fired,begins,ends,reclaims,"
-         "rejections,demand_clamps,force_admissions,lost_wakes,"
+         "demand_clamps,force_admissions,lost_wakes,"
          "recovered_wakes,fired_kinds\n";
 }
 
@@ -576,8 +570,6 @@ std::string csv_row(const ScenarioResult& r) {
   row += std::to_string(r.ends);
   row += ',';
   row += std::to_string(r.reclaims);
-  row += ',';
-  row += std::to_string(r.rejections);
   row += ',';
   row += std::to_string(r.demand_clamps);
   row += ',';

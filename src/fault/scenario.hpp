@@ -47,7 +47,6 @@ struct ScenarioResult {
   std::uint64_t begins = 0;
   std::uint64_t ends = 0;
   std::uint64_t reclaims = 0;
-  std::uint64_t rejections = 0;
   std::uint64_t demand_clamps = 0;
   std::uint64_t force_admissions = 0;
   std::uint64_t lost_wakes = 0;

@@ -32,7 +32,6 @@ enum class EventKind : std::uint8_t {
   kEnd,          ///< pp_end released the period's load
   kReclaim,      ///< orphaned period reaped; its load/slot returned
   kDemandClamp,  ///< watchdog rung 1: infeasible demand clamped to capacity
-  kReject,       ///< watchdog rung 3: waiter evicted with an error
   kNodeDown,     ///< service node went down; its parked work is re-queued
   kNodeUp,       ///< service node rejoined the routing set
   kEnqueue,      ///< service front end accepted a submission into the queue
@@ -45,7 +44,7 @@ enum class EventKind : std::uint8_t {
   kCreditSpend,  ///< burst over fair share paid in credits; demand = units
 };
 
-inline constexpr std::size_t kNumEventKinds = 21;
+inline constexpr std::size_t kNumEventKinds = 20;
 
 constexpr std::string_view to_string(EventKind kind) {
   switch (kind) {
@@ -59,7 +58,6 @@ constexpr std::string_view to_string(EventKind kind) {
     case EventKind::kEnd: return "end";
     case EventKind::kReclaim: return "reclaim";
     case EventKind::kDemandClamp: return "demand_clamp";
-    case EventKind::kReject: return "reject";
     case EventKind::kNodeDown: return "node_down";
     case EventKind::kNodeUp: return "node_up";
     case EventKind::kEnqueue: return "enqueue";

@@ -127,13 +127,6 @@ ReconcileReport reconcile(std::span<const Event> events,
           fail(site.str() + ": demand-clamp of a period that is not blocked");
         }
         break;
-      case EventKind::kReject:
-        if (!known || it->second != State::kBlocked) {
-          fail(site.str() + ": reject of a period that is not waitlisted");
-        } else {
-          it->second = State::kClosed;
-        }
-        break;
       case EventKind::kNodeDown:
       case EventKind::kNodeUp:
       case EventKind::kEnqueue:
@@ -177,7 +170,6 @@ ReconcileReport reconcile(std::span<const Event> events,
   expect(EventKind::kCancel, stats.cancels, "cancels");
   expect(EventKind::kReclaim, stats.reclaims, "reclaims");
   expect(EventKind::kDemandClamp, stats.demand_clamps, "demand_clamps");
-  expect(EventKind::kReject, stats.rejections, "rejections");
 
   // Every begin resolves exactly one way: admitted now, forced now, or
   // parked. (Waitlist exits — wake/force/cancel — are counted above.)
@@ -351,7 +343,6 @@ ReconcileReport reconcile_waits(std::span<const Event> events,
       case EventKind::kWake:
       case EventKind::kForceAdmit:
       case EventKind::kCancel:
-      case EventKind::kReject:
       case EventKind::kReclaim: {
         const auto it = block_time.find(e.period);
         if (it != block_time.end()) {

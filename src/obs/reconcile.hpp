@@ -90,7 +90,7 @@ struct ServiceStatsCheck {
 };
 
 /// Extends the fault-matrix ledger invariant
-///   begins == ends + cancels + reclaims + rejections
+///   begins == ends + cancels + reclaims
 /// down to the service queue:
 ///   * count(kind) == the matching ServiceStatsCheck field, for enqueue /
 ///     batch-drain / steal / shed;

@@ -15,12 +15,11 @@ void EventRecorder::record(const Event& event) {
     case EventKind::kWake:
     case EventKind::kForceAdmit:
     case EventKind::kCancel:
-    case EventKind::kReject:
     case EventKind::kReclaim: {
       // Any exit from the waitlist closes the wait interval. A force-admit
       // on the begin path (never blocked) has no open interval and is
-      // skipped; cancels, rejections and reaps count the aborted wait as
-      // latency too — that is the latency the caller actually suffered.
+      // skipped; cancels and reaps count the aborted wait as latency too —
+      // that is the latency the caller actually suffered.
       // A reclaim of an *admitted* period has no open interval either.
       const auto it = block_time_.find(event.period);
       if (it != block_time_.end()) {

@@ -130,9 +130,9 @@ AdmissionGate::AdmissionGate(GateConfig config)
         }
         if (ping) cv_.notify_all();
       });
-  // Waiters evicted WITHOUT a grant (watchdog rung 3, reaped off the
-  // waitlist): record the verdict and rouse the sleeper so it observes the
-  // error instead of sleeping to its timeout. This channel is what lets
+  // Waiters evicted WITHOUT a grant (reaped off the waitlist): record the
+  // verdict and rouse the sleeper so it observes the error instead of
+  // sleeping to its timeout. This channel is what lets
   // end()/sweep() stay notification-free — every fate transition pings.
   core_.set_evict_notifier(
       [this](const std::vector<core::ProgressMonitor::EvictNotice>& notices) {
@@ -238,9 +238,8 @@ std::optional<core::PeriodId> AdmissionGate::begin_impl(
         consume_grant(tid, ticket.id);
         return ticket.id;
       case core::WithdrawResult::kGone:
-        // Rejected or reclaimed before we could withdraw; consume the fate
-        // so it cannot leak into the thread's next begin.
-        (void)core_.take_rejection(ticket.id);
+        // Reclaimed before we could withdraw; consume the fate so it
+        // cannot leak into the thread's next begin.
         (void)core_.take_reclaimed(ticket.id);
         return std::nullopt;
     }
@@ -346,9 +345,8 @@ AdmissionGate::WaitOutcome AdmissionGate::plain_wait(
     case core::WithdrawResult::kGone:
       break;
   }
-  // Rejected or reclaimed while we slept: consume the fate (timed callers
-  // report nullopt, they never throw).
-  (void)core_.take_rejection(id);
+  // Reclaimed while we slept: consume the fate (timed callers report
+  // nullopt, they never throw).
   (void)core_.take_reclaimed(id);
   {
     std::lock_guard<std::mutex> relock(wait_mu_);
@@ -390,9 +388,6 @@ AdmissionGate::WaitOutcome AdmissionGate::hardened_wait(
         evicted_.erase(e);  // stale
       }
     }
-    if (core_.take_rejection(id)) {
-      return {std::nullopt, "starvation watchdog evicted the request"};
-    }
     if (core_.take_reclaimed(id)) {
       return {std::nullopt, "waitlisted period was reclaimed"};
     }
@@ -418,10 +413,9 @@ AdmissionGate::WaitOutcome AdmissionGate::hardened_wait(
           consume_grant(tid, id);
           return {id, nullptr};
         case core::WithdrawResult::kGone:
-          // Rejected/reclaimed in the race window; next loop iteration's
-          // fate probes would find it, but we are past the deadline —
-          // consume the verdict here and report the timeout.
-          (void)core_.take_rejection(id);
+          // Reclaimed in the race window; next loop iteration's fate
+          // probes would find it, but we are past the deadline — consume
+          // the verdict here and report the timeout.
           (void)core_.take_reclaimed(id);
           {
             std::lock_guard<std::mutex> lock(wait_mu_);
@@ -539,8 +533,8 @@ void AdmissionGate::end(core::PeriodId id) {
 void AdmissionGate::end(core::PeriodId id,
                         const core::ReleaseObservation& observed) {
   // Everything the release sets in motion reaches the sleepers through the
-  // delivery channels: grants via the batch waker, rung-3 rejections and
-  // reclaims via the evict notifier — each of which notifies. Nothing here
+  // delivery channels: grants via the batch waker, reclaims via the evict
+  // notifier — each of which notifies. Nothing here
   // to ping (the old design notified only when hardened, leaving plain
   // waiters a lost-wakeup window whenever a fate carried no wake call).
   core::ReleaseTicket ticket = core_.release(id, observed, lazy_now());

@@ -15,9 +15,9 @@
 // table. The core delivers wakes AFTER releasing its slow mutex, so the
 // callbacks lock wait_mu_ themselves; a grant carries its period id so a
 // late delivery (racing a timeout-recovery) can never be mistaken for a
-// newer period's grant. Every fate transition — grant, watchdog rejection,
-// orphan reclaim — bumps a delivery counter under wait_mu_ and pings the
-// condition variable, which is what lets plain (non-hardened) waiters use a
+// newer period's grant. Every fate transition — grant or orphan reclaim —
+// bumps a delivery counter under wait_mu_ and pings the condition
+// variable, which is what lets plain (non-hardened) waiters use a
 // simple predicate wait without a lost-wakeup window.
 //
 // Plain waits spin, then park. A parked waiter is back on a CPU about
@@ -61,9 +61,8 @@
 
 namespace rda::rt {
 
-/// Thrown by a blocking begin whose waitlisted request was evicted instead
-/// of granted: the starvation watchdog exhausted its degradation ladder
-/// (rung 3), or the period was reclaimed out from under the waiter.
+/// Thrown by a blocking begin whose waitlisted request was reclaimed out
+/// from under the waiter (reap_thread or a lease sweep) instead of granted.
 class AdmissionRejected : public std::runtime_error {
  public:
   AdmissionRejected(core::PeriodId period, const std::string& why)
@@ -222,7 +221,7 @@ class AdmissionGate {
 
   struct WaitOutcome {
     std::optional<core::PeriodId> id;
-    const char* failure = nullptr;  ///< non-null: rejected / reclaimed
+    const char* failure = nullptr;  ///< non-null: reclaimed
   };
 
   std::optional<core::PeriodId> begin_impl(
@@ -245,7 +244,7 @@ class AdmissionGate {
   bool spin(std::unique_lock<std::mutex>& lock, std::uint32_t tid,
             core::PeriodId id, std::chrono::nanoseconds cap);
 
-  /// Sliced wait with exponential backoff: re-checks grant / rejection /
+  /// Sliced wait with exponential backoff: re-checks grant / eviction /
   /// reclaim / silent admission every slice and drives the time-triggered
   /// watchdog. Called unlocked; core probes run outside wait_mu_.
   WaitOutcome hardened_wait(std::uint32_t tid, core::PeriodId id,

@@ -367,7 +367,7 @@ SimResult Engine::run() {
       RDA_CHECK_MSG(!any_ready(),
                     "ready threads exist but no core took them");
       // Before declaring deadlock, try recovery: resume threads whose wake
-      // was lost, then let the gate escalate (watchdog) or reject waiters.
+      // was lost, then let the gate's watchdog escalate a starved waiter.
       if (recover_stall()) continue;
       RDA_CHECK_MSG(false,
                     "scheduler deadlock: all unfinished threads are blocked");

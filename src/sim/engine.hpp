@@ -185,8 +185,8 @@ class Engine final : public ThreadWaker {
   /// on_thread_exit reaps whatever period it still holds.
   void kill_thread(Thread& t);
   /// All-blocked recovery: resume threads whose grant was lost, then give
-  /// the gate a last chance (watchdog escalation, rejections). Returns true
-  /// when anything changed.
+  /// the gate a last chance (watchdog escalation). Returns true when
+  /// anything changed.
   bool recover_stall();
 
   /// Runs the begin/end state machine for a running thread until it is in

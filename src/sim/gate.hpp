@@ -92,8 +92,8 @@ class PhaseGate {
 
   /// Last-resort progress hook: the engine has unfinished threads but none
   /// runnable. Returns true when the gate changed state (escalated a
-  /// starved waiter, surfaced a rejection, woke somebody) — the engine then
-  /// re-evaluates instead of declaring deadlock.
+  /// starved waiter, woke somebody) — the engine then re-evaluates instead
+  /// of declaring deadlock.
   virtual bool on_stall(double now) {
     (void)now;
     return false;

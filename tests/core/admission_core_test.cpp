@@ -313,8 +313,6 @@ TEST(AdmissionBatch, ReleaseBatchDischargesOversubRecords) {
   AdmissionConfig config;
   config.llc_capacity_bytes = mb(16);
   config.monitor.watchdog.enable = true;
-  config.monitor.watchdog.clamp = false;
-  config.monitor.watchdog.force_admit = true;
   config.monitor.watchdog.max_wake_rounds = 1;
   AdmissionCore core(config);
 

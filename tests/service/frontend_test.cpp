@@ -404,7 +404,7 @@ TEST(ServiceFrontEnd, NodeDeathAtFullLoadLosesNoWork) {
   // Fleet-wide admission ledger: every begin resolved exactly once.
   EXPECT_EQ(report.admission.begins,
             report.admission.ends + report.admission.cancels +
-                report.admission.reclaims + report.admission.rejections);
+                report.admission.reclaims);
   // The extra begins are exactly the re-submissions of rerouted work.
   EXPECT_EQ(report.admission.begins,
             16000u + report.admission.cancels + report.admission.reclaims);
