@@ -12,14 +12,14 @@
 //   * long-term Jain fairness improves under enforcement for the inflator
 //     cell, and credit conservation holds exactly in every enforced cell.
 //
-//   adversary [--arrivals N] [--jobs J] [--shards K]
+//   adversary [--arrivals N] [--jobs J]
 //             [--out BENCH_adversary.json] [--baseline PATH]
 //             [--quick] [--csv]
 //
 // Every cell is virtual-time and deterministic: byte-identical CSV for any
-// --jobs value and any --shards value (tier1.sh cmps both), including the
-// per-cell TenantLedger fingerprint — the ledger half of the K-invariance
-// contract.
+// --jobs value, including the per-cell TenantLedger fingerprint (tier1.sh
+// cmps the --quick --csv output against tests/service/adversary_quick.expected
+// at two fan-outs).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -95,7 +95,7 @@ double jain(const std::vector<double>& xs) {
   return sum * sum / (static_cast<double>(xs.size()) * sum_sq);
 }
 
-CellResult run_cell(const Cell& cell, std::uint64_t arrivals, int shards) {
+CellResult run_cell(const Cell& cell, std::uint64_t arrivals) {
   service::ArrivalConfig arr;
   arr.shape = service::ArrivalShape::kPoisson;
   // ~86% of the honest fleet's service capacity (4 nodes x 15MB / 2MB mean
@@ -115,7 +115,6 @@ CellResult run_cell(const Cell& cell, std::uint64_t arrivals, int shards) {
 
   service::ServiceConfig cfg;
   cfg.nodes = 4;
-  cfg.drain_shards = shards;
   cfg.node_llc_bytes = static_cast<double>(MB(15));
   // One physical model for EVERY cell: completed periods occupy what they
   // actually touch, and a node driven past its LLC thrashes. Enforcement
@@ -165,9 +164,9 @@ CellResult run_cell(const Cell& cell, std::uint64_t arrivals, int shards) {
 }
 
 void print_csv(const std::vector<CellResult>& results) {
-  // Byte-compared across --jobs and --shards by tier1.sh; the ledger
-  // fingerprint column pins the enforcement state itself to K-invariance,
-  // not just the service outcomes.
+  // Byte-compared against its golden by tier1.sh; the ledger fingerprint
+  // column pins the enforcement state itself, not just the service
+  // outcomes.
   std::printf(
       "cell,completed,shed,audits,penalties,haircuts,quota_denied,"
       "credits_granted,credits_spent,honest_completed,honest_work,"
@@ -224,8 +223,6 @@ int main(int argc, char** argv) {
   const std::uint64_t arrivals =
       exp::parse_u64_flag(argc, argv, "--arrivals", quick ? 8'000 : 40'000);
   const int jobs = exp::parse_jobs(argc, argv);
-  const int shards =
-      static_cast<int>(exp::parse_u64_flag(argc, argv, "--shards", 0));
   const std::string out_path =
       exp::parse_string_flag(argc, argv, "--out", "BENCH_adversary.json");
   const std::string baseline_path =
@@ -234,7 +231,7 @@ int main(int argc, char** argv) {
   const std::vector<Cell> cells = build_cells();
   std::vector<CellResult> results(cells.size());
   exp::run_cells(cells.size(), jobs, [&](std::size_t i) {
-    results[i] = run_cell(cells[i], arrivals, shards);
+    results[i] = run_cell(cells[i], arrivals);
   });
 
   if (csv) {

@@ -4,17 +4,17 @@
 // BENCH_service.json for trend tracking and gates against the committed
 // snapshot.
 //
-//   service_load [--arrivals N] [--jobs J] [--shards K]
+//   service_load [--arrivals N] [--jobs J]
 //                [--out BENCH_service.json] [--baseline PATH]
 //                [--quick] [--csv]
 //
 // Two kinds of metrics live here and are gated differently:
 //   * Virtual-time cells (shape x routing, fault) are seeded and
-//     deterministic — byte-identical for any --jobs value AND any
-//     --shards value (tier1.sh cmps the --csv output across fan-outs and
-//     across drain-shard counts; the lockstep merge makes K a pure
-//     concurrency knob). Their goodput/p99 regression gate against the
-//     committed baseline needs no machine calibration.
+//     deterministic — byte-identical for any --jobs value (tier1.sh cmps
+//     the --quick --csv output against
+//     tests/service/service_load_quick.expected at two fan-outs). Their
+//     goodput/p99 regression gate against the committed baseline needs no
+//     machine calibration.
 //   * Each virtual-time cell also records its host cost: wall-clock µs
 //     per arrival for its frontend.run(), divided by the calib.hpp machine
 //     factor. Printed and written to the JSON, never gated, and kept out
@@ -93,7 +93,7 @@ std::vector<Cell> build_cells() {
   return cells;
 }
 
-CellResult run_cell(const Cell& cell, std::uint64_t arrivals, int shards) {
+CellResult run_cell(const Cell& cell, std::uint64_t arrivals) {
   service::ArrivalConfig arr;
   arr.shape = cell.shape;
   arr.rate = 9000.0;
@@ -108,7 +108,6 @@ CellResult run_cell(const Cell& cell, std::uint64_t arrivals, int shards) {
 
   service::ServiceConfig cfg;
   cfg.nodes = 4;
-  cfg.drain_shards = shards;
   cfg.node_llc_bytes = static_cast<double>(MB(15));
   cfg.routing = cell.routing;
   if (cell.fault) {
@@ -151,9 +150,9 @@ CellResult run_cell(const Cell& cell, std::uint64_t arrivals, int shards) {
 }
 
 void print_csv(const std::vector<CellResult>& results) {
-  // `mailboxed` is deliberately in the byte-compared CSV: it must equal
-  // stolen + reroutes for EVERY shard count, so the cross-K cmp in
-  // tier1.sh also pins the mailbox ledger.
+  // `mailboxed` (requeues, == stolen + reroutes) is deliberately in the
+  // pinned CSV, so the golden cmp in tier1.sh also pins the requeue
+  // count.
   std::printf(
       "cell,completed,shed,steals,reroutes,mailboxed,goodput,"
       "work_per_second,p50,p95,p99,checksum\n");
@@ -200,8 +199,6 @@ int main(int argc, char** argv) {
   const std::uint64_t arrivals =
       exp::parse_u64_flag(argc, argv, "--arrivals", quick ? 8'000 : 40'000);
   const int jobs = exp::parse_jobs(argc, argv);
-  const int shards = static_cast<int>(
-      exp::parse_u64_flag(argc, argv, "--shards", 0));
   const std::string out_path =
       exp::parse_string_flag(argc, argv, "--out", "BENCH_service.json");
   const std::string baseline_path =
@@ -213,7 +210,7 @@ int main(int argc, char** argv) {
   const std::vector<Cell> cells = build_cells();
   std::vector<CellResult> results(cells.size());
   exp::run_cells(cells.size(), jobs, [&](std::size_t i) {
-    results[i] = run_cell(cells[i], arrivals, shards);
+    results[i] = run_cell(cells[i], arrivals);
   });
 
   if (csv) {

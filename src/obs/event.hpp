@@ -38,7 +38,7 @@ enum class EventKind : std::uint8_t {
   kBatchDrain,   ///< drain loop pulled a batch; demand = batch size
   kSteal,        ///< idle service node took a tenant batch; demand = its size
   kShed,         ///< overload ladder rung 3: submission shed before admission
-  kMailbox,      ///< requeued submission posted to a drain shard's mailbox
+  kMailbox,      ///< displaced submission (steal/reroute) requeued
   kPenalty,      ///< tenant ledger moved a tenant's penalty rung; demand = rung
   kCreditGrant,  ///< unused fair share banked as credits; demand = units
   kCreditSpend,  ///< burst over fair share paid in credits; demand = units

@@ -281,7 +281,7 @@ ReconcileReport reconcile_service(std::span<const Event> events,
   expect(sheds, service.shed, "shed", "shed");
 
   // Every displaced submission — stolen by an idle node or rerouted off a
-  // dead one — took exactly one mailbox hop to reach its drain shard.
+  // dead one — was requeued exactly once.
   if (mailboxed != stolen + service.reroutes) {
     std::ostringstream os;
     os << "mailbox ledger broken: " << mailboxed << " mailbox hops != "

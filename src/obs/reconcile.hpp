@@ -84,7 +84,7 @@ struct ServiceStatsCheck {
   std::uint64_t steals = 0;        ///< whole-tenant-batch steals
   std::uint64_t stolen = 0;        ///< submissions inside stolen batches
   std::uint64_t reroutes = 0;      ///< submissions re-queued by a node death
-  std::uint64_t mailboxed = 0;     ///< requeues posted to shard mailboxes
+  std::uint64_t mailboxed = 0;     ///< displaced submissions requeued
   std::uint64_t shed = 0;          ///< submissions shed by the overload ladder
   std::uint64_t still_queued = 0;  ///< left in the queue at capture end
 };
@@ -101,8 +101,8 @@ struct ServiceStatsCheck {
 ///     the core (exactly one kBegin) or was shed by the overload ladder;
 ///   * Σ steal sizes (the kSteal event's demand payload) == stolen, and
 ///     count(kMailbox) == mailboxed == stolen + reroutes — every displaced
-///     submission (steal or node-death reroute) took exactly one mailbox
-///     hop to its drain shard, and none was invented or dropped in transit.
+///     submission (steal or node-death reroute) was requeued exactly once,
+///     and none was invented or dropped in transit.
 /// A node dying mid-drain and rejoining must not break any of these: a lost
 /// submission shows up as a drain/begin gap, a double-admit as excess begins.
 /// Also fills ReconcileReport::tenants with per-tenant begins/ends/sheds

@@ -13,6 +13,9 @@ namespace {
 
 /// Virtual time between drain passes.
 constexpr double kDrainIntervalSeconds = 1.0e-3;
+/// Most submissions one drain pass takes: the whole requeue list, then
+/// fresh submissions while the pass holds fewer than this.
+constexpr std::size_t kDrainBatchMax = 4096;
 /// Weight of each new sample in the ladder's backlog and latency EWMAs.
 constexpr double kEwmaAlpha = 0.25;
 /// Rung 1 caps a demand at this fraction of the node LLC, and the clamped
@@ -53,18 +56,13 @@ ServiceFrontEnd::ServiceFrontEnd(ServiceConfig config)
       in_flight_count_(static_cast<std::size_t>(config.nodes), 0),
       parked_depth_(static_cast<std::size_t>(config.nodes), 0) {
   RDA_CHECK_MSG(config_.nodes >= 1, "service needs at least one node");
-  RDA_CHECK_MSG(config_.drain_shards >= 0,
-                "drain shard count cannot be negative");
   RDA_CHECK_MSG(config_.shed_keep_fraction >= 0.0 &&
                     config_.shed_keep_fraction < 1.0,
                 "shed keep fraction must be in [0, 1)");
-  num_shards_ = config_.drain_shards > 0 ? config_.drain_shards
-                                         : config_.nodes;
   true_outstanding_.assign(static_cast<std::size_t>(config_.nodes), 0.0);
   if (config_.enforce) {
     ledger_ = std::make_unique<TenantLedger>(config_.trace_sink);
   }
-  shards_.resize(static_cast<std::size_t>(num_shards_));
   cores_.reserve(static_cast<std::size_t>(config_.nodes));
   for (int n = 0; n < config_.nodes; ++n) {
     core::AdmissionConfig cc;
@@ -89,14 +87,8 @@ int ServiceFrontEnd::tenant_home(std::uint64_t tenant) const {
   return node_up_[static_cast<std::size_t>(it->second)] ? it->second : -1;
 }
 
-std::size_t ServiceFrontEnd::inbox_backlog() const {
-  std::size_t total = 0;
-  for (const DrainShard& shard : shards_) total += shard.inbox.size();
-  return total;
-}
-
 std::size_t ServiceFrontEnd::backlog() const {
-  return queue_backlog_ + inbox_backlog() + parked_.size();
+  return queue_.size() + requeued_.size() + parked_.size();
 }
 
 void ServiceFrontEnd::fold_checksum(std::uint64_t a, std::uint64_t b) {
@@ -122,31 +114,22 @@ void ServiceFrontEnd::trace_service(obs::EventKind kind, double at,
 }
 
 void ServiceFrontEnd::enqueue(const Sub& sub, double at) {
-  if (queue_backlog_ >= config_.queue_capacity) {
+  if (queue_.size() >= config_.queue_capacity) {
     ++stats_.overflow_drops;  // never entered the ledger
     return;
   }
-  Sub queued = sub;
+  Sub& queued = queue_.emplace_back(sub);
   queued.enqueue_time = at;
-  DrainShard& shard =
-      shards_[static_cast<std::size_t>(shard_for_tenant(sub.tenant))];
-  shard.queue.push_back(queued);
-  ++queue_backlog_;
-  ++shard.counters.enqueued;
   ++stats_.enqueued;
   trace_service(obs::EventKind::kEnqueue, at, sub.seq, sub.tenant,
                 sub.demand);
 }
 
-void ServiceFrontEnd::mailbox_requeue(const Sub& sub, int from_node,
-                                      double at) {
+void ServiceFrontEnd::requeue(const Sub& sub, double at) {
   ++stats_.enqueued;
   trace_service(obs::EventKind::kEnqueue, at, sub.seq, sub.tenant,
                 sub.demand);
-  const int to = shard_for_tenant(sub.tenant);
-  shards_[static_cast<std::size_t>(to)].inbox.send(requeue_seq_++, sub);
-  const int from = shard_of_node(from_node, num_shards_);
-  ++shards_[static_cast<std::size_t>(from)].counters.mail_out;
+  requeued_.push_back(sub);
   ++stats_.mailboxed;
   trace_service(obs::EventKind::kMailbox, at, sub.seq, sub.tenant,
                 sub.demand);
@@ -294,17 +277,10 @@ double ServiceFrontEnd::true_occupancy(const Sub& sub) const {
 }
 
 void ServiceFrontEnd::apply_audits() {
-  if (ledger_ == nullptr) return;
-  std::vector<AuditRecord> merged;
-  for (DrainShard& shard : shards_) {
-    merged.insert(merged.end(), shard.audit_slice.begin(),
-                  shard.audit_slice.end());
-    shard.audit_slice.clear();
+  for (const AuditRecord& a : pending_audits_) {
+    ledger_->audit(a.tenant, a.declared, a.observed, a.contended, a.time);
   }
-  if (merged.empty()) return;
-  // apply() replays the records in global audit_seq order, so the ledger
-  // ends up byte-identical no matter how the slices partitioned them.
-  ledger_->apply(merged);
+  pending_audits_.clear();
 }
 
 bool ServiceFrontEnd::enforce_ledger(const Sub& sub, double& llc) {
@@ -453,11 +429,8 @@ void ServiceFrontEnd::release_due(double now) {
       }
       if (ledger_ != nullptr) {
         --tenant_open_[flight.sub.tenant];
-        // Capture the audit into this node's shard slice, stamped with the
-        // global completion-settle order (which is already K-invariant);
-        // apply_audits() merges the slices back into that order.
+        // Deferred to the next drain pass's apply_audits().
         AuditRecord audit;
-        audit.audit_seq = audit_seq_++;
         audit.tenant = flight.sub.tenant;
         audit.declared = flight.sub.demand;
         audit.observed = config_.model_true_occupancy
@@ -467,8 +440,7 @@ void ServiceFrontEnd::release_due(double now) {
         // occupy; a below-declaration peak is then a lower bound, not a lie.
         audit.contended = ladder_.rung() >= 2;
         audit.time = done;
-        shards_[static_cast<std::size_t>(shard_of_node(n, num_shards_))]
-            .audit_slice.push_back(audit);
+        pending_audits_.push_back(audit);
       }
       charge_outstanding(n, flight.declared, -1.0);
       --in_flight_count_[static_cast<std::size_t>(n)];
@@ -505,7 +477,7 @@ void ServiceFrontEnd::apply_fault(double now) {
       if (!sub) continue;
       ++stats_.reroutes;
       sub->enqueue_time = now;
-      mailbox_requeue(*sub, fault.node, now);
+      requeue(*sub, now);
     }
 
     // Reap every admitted period the node was carrying and re-queue it;
@@ -531,7 +503,7 @@ void ServiceFrontEnd::apply_fault(double now) {
       ++stats_.reroutes;
       Sub sub = flight.sub;
       sub.enqueue_time = now;
-      mailbox_requeue(sub, fault.node, now);
+      requeue(sub, now);
     }
 
     // The dead node is nobody's home anymore.
@@ -619,7 +591,7 @@ void ServiceFrontEnd::steal_pass(double now) {
     // Stolen work keeps its original enqueue time: its admission latency
     // reflects the whole wait, not a reset clock.
     ++moved;
-    mailbox_requeue(*sub, donor, now);
+    requeue(*sub, now);
   }
   if (moved == 0) return;
   tenant_home_[victim] = thief;
@@ -629,69 +601,20 @@ void ServiceFrontEnd::steal_pass(double now) {
                 static_cast<double>(moved));
 }
 
-std::vector<ServiceFrontEnd::Sub> ServiceFrontEnd::merge_drain_batch() {
-  // Requeues first, in ascending seniority: displaced work keeps its
-  // place. Each mailbox sorts its own entries; the global sort restores
-  // decision order across shards (a steal and a reroute landing in the
-  // same round replay in the order they were decided).
-  std::vector<Mailbox<Sub>::Entry> requeues;
-  for (DrainShard& shard : shards_) {
-    shard.counters.mail_in += shard.inbox.drain(requeues);
-  }
-  std::sort(requeues.begin(), requeues.end(),
-            [](const Mailbox<Sub>::Entry& a, const Mailbox<Sub>::Entry& b) {
-              return a.seniority < b.seniority;
-            });
-
-  std::vector<Sub> popped;
-  popped.reserve(requeues.size());
-  for (Mailbox<Sub>::Entry& entry : requeues) {
-    const int shard = shard_for_tenant(entry.value.tenant);
-    ++shards_[static_cast<std::size_t>(shard)].counters.drained;
-    popped.push_back(std::move(entry.value));
-  }
-
-  // A shard's merge runway is the first drain_batch_max entries of its
-  // FIFO: the most the merge below can take from it.
-  for (DrainShard& shard : shards_) {
-    shard.counters.peak_staged = std::max(
-        shard.counters.peak_staged,
-        static_cast<std::uint64_t>(
-            std::min(shard.queue.size(), config_.drain_batch_max)));
-  }
-
-  // K-way min-seq merge of the shard FIFO heads. Fresh arrivals enter
-  // their shard FIFO in ascending global seq, so each FIFO is an ascending
-  // subsequence and picking the smallest head reconstructs the order a
-  // single queue would have popped — byte-identical for any K.
-  std::size_t room = popped.size() < config_.drain_batch_max
-                         ? config_.drain_batch_max - popped.size()
-                         : 0;
-  while (room > 0) {
-    DrainShard* best = nullptr;
-    for (DrainShard& shard : shards_) {
-      if (shard.queue.empty()) continue;
-      if (best == nullptr ||
-          shard.queue.front().seq < best->queue.front().seq) {
-        best = &shard;
-      }
-    }
-    if (best == nullptr) break;
-    popped.push_back(std::move(best->queue.front()));
-    best->queue.pop_front();
-    ++best->counters.drained;
-    --queue_backlog_;
-    --room;
-  }
-  return popped;
-}
-
 void ServiceFrontEnd::drain_pass(double now) {
   // Fold last release's audits into the ledger BEFORE any enforcement
   // decision this pass — enforcement always acts on settled evidence.
   apply_audits();
 
-  std::vector<Sub> popped = merge_drain_batch();
+  // Requeued work first, in the order it was displaced; then fresh
+  // submissions in arrival order while the pass has room.
+  std::vector<Sub> popped;
+  popped.swap(requeued_);
+  popped.reserve(std::min(kDrainBatchMax, popped.size() + queue_.size()));
+  while (popped.size() < kDrainBatchMax && !queue_.empty()) {
+    popped.push_back(queue_.front());
+    queue_.pop_front();
+  }
   if (popped.empty()) return;
 
   ++stats_.drains;
@@ -824,15 +747,6 @@ void ServiceFrontEnd::update_ladder() {
   constexpr double alpha = kEwmaAlpha;
   const auto depth = static_cast<double>(backlog());
   depth_ewma_ = alpha * depth + (1.0 - alpha) * depth_ewma_;
-  // Per-shard backlog EWMAs are observability only: the ladder keys off
-  // the GLOBAL depth above, so escalation decisions are identical for any
-  // shard count (a per-shard trigger would make admission depend on K).
-  for (DrainShard& shard : shards_) {
-    const auto local =
-        static_cast<double>(shard.queue.size() + shard.inbox.size());
-    shard.counters.backlog_ewma =
-        alpha * local + (1.0 - alpha) * shard.counters.backlog_ewma;
-  }
   // With nothing waiting, the current admission latency is effectively
   // zero; decay the EWMA so a drained (or fully shedding) fleet can walk
   // back down the ladder instead of pinning on the last hot sample.
@@ -891,8 +805,8 @@ ServiceReport ServiceFrontEnd::run(ArrivalSource& arrivals,
 
     // Keep ticking after the last completion until the ladder settles:
     // idle ticks decay both EWMAs geometrically, so this terminates.
-    if (!have && queue_backlog_ == 0 && inbox_backlog() == 0 &&
-        parked_.empty() && in_flight_.empty() && completions_.empty() &&
+    if (!have && queue_.empty() && requeued_.empty() && parked_.empty() &&
+        in_flight_.empty() && completions_.empty() &&
         ladder_.rung() == 0) {
       break;
     }
@@ -905,7 +819,7 @@ ServiceReport ServiceFrontEnd::run(ArrivalSource& arrivals,
 
   ServiceReport report;
   stats_.final_rung = ladder_.rung();
-  stats_.still_queued = queue_backlog_ + inbox_backlog();
+  stats_.still_queued = queue_.size() + requeued_.size();
   if (ledger_ != nullptr) {
     stats_.audits = ledger_->audits();
     stats_.penalties = ledger_->penalties();
@@ -913,11 +827,6 @@ ServiceReport ServiceFrontEnd::run(ArrivalSource& arrivals,
     stats_.credits_spent = ledger_->total_spent();
   }
   report.stats = stats_;
-  report.drain_shards = num_shards_;
-  report.shards.reserve(shards_.size());
-  for (const DrainShard& shard : shards_) {
-    report.shards.push_back(shard.counters);
-  }
   report.admission_latency = latency_;
   report.elapsed_seconds = last_completion_ > 0.0 ? last_completion_ : now_;
   if (report.elapsed_seconds > 0.0) {

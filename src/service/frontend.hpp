@@ -1,29 +1,17 @@
 // ServiceFrontEnd — the traffic-scale admission front end (ROADMAP item 2).
 //
 // Wires the open-loop arrival stream into the sharded AdmissionCore the way
-// a production service would: arrivals are routed AT PUSH TIME to one of K
-// drain shards (a seeded hash of the tenant id — K defaults to the node
-// count), each with its own FIFO of submissions; the drain loop runs on a
-// fixed virtual-time cadence and, per pass, (1) releases every period
-// whose service completed, (2) lets an idle node steal a parked tenant
-// batch, (3) drains each shard's mailbox and queue, merges the shard
-// streams into one deterministic batch, routes each submission to a node,
-// and admits each node's share with ONE admit_batch/release_batch call —
-// so the slow-lane mutex, the waitlist rescan, and the wake
-// delivery are paid once per node per pass instead of once per period.
-//
-// Sharded drain execution model (DESIGN §16). Each shard is the sole
-// consumer of its own FIFO; cross-shard effects (steals, node-death
-// reroutes) go through seniority-ordered per-shard mailboxes drained at
-// pass start, so no shard ever touches another shard's queue tail. In
-// virtual time the shards run lockstep rounds and the pass merges their
-// streams back into the canonical global order — all mailbox requeues
-// first (ascending seniority = decision order), then a k-way min-seq merge
-// of the shard FIFO heads — so the run is byte-identical for ANY
-// shard count: K=1, K=4, and K=16 produce the same checksum, the same
-// trace, the same CSV. The overload ladder stays global for the same
-// reason (per-shard EWMAs would make admission decisions depend on K);
-// per-shard backlog EWMAs exist but are observability-only.
+// a production service would: arrivals join one FIFO of fresh submissions;
+// the drain loop runs on a fixed virtual-time cadence and, per pass, (1)
+// releases every period whose service completed, (2) lets an idle node
+// steal a parked tenant batch, (3) takes the whole requeue list (steals
+// and node-death reroutes, in the order they were decided) and then fresh
+// submissions up to the batch cap, routes each submission to a node, and
+// admits each node's share with ONE admit_batch/release_batch call — so
+// the slow-lane mutex, the waitlist rescan, and the wake delivery are paid
+// once per node per pass instead of once per period. Displaced work thus
+// re-enters the drain ahead of fresh arrivals, in the order it was
+// displaced (the paper's one wait queue per resource, woken in order).
 //
 // Placement is locality-aware: a tenant's periods follow its home node (the
 // one already holding its LLC working set — warm periods run in 0.6× the
@@ -73,7 +61,6 @@
 #include "obs/histogram.hpp"
 #include "obs/sink.hpp"
 #include "service/arrival.hpp"
-#include "service/shard.hpp"
 #include "service/tenant_ledger.hpp"
 #include "util/rng.hpp"
 
@@ -106,21 +93,16 @@ struct NodeFault {
 
 struct ServiceConfig {
   int nodes = 4;
-  /// Drain shards (K): submissions are routed at push time to shard
-  /// shard_of_tenant(ServiceFrontEnd::kSeed, tenant, K), each shard owning
-  /// its own FIFO.
-  /// 0 = one shard per node. Byte-determinism holds for ANY K — the
-  /// lockstep merge restores the canonical global order — so K changes how
-  /// the queue is partitioned, never a decision. (The wall-clock pump has
-  /// its own shard count, PumpConfig::shards.)
+  /// Unused: the front end drains one queue. Kept only because the
+  /// benchmark's service workload still sets it; it goes in the next change
+  /// that may edit that workload. (The wall-clock pump's drain threads are
+  /// PumpConfig::shards.)
   int drain_shards = 0;
   /// Per-node LLC capacity the admission cores gate against.
   double node_llc_bytes = 15360.0 * 1024.0;
   RoutePolicy routing = RoutePolicy::kLocalityAware;
-  std::size_t drain_batch_max = 4096;
-  /// Global overflow bound: a push is dropped when this many submissions
-  /// are already queued across all shards (mailboxed and parked work does
-  /// not count). The only bound on the shard FIFOs.
+  /// Overflow bound: a push is dropped when this many fresh submissions
+  /// are already queued (requeued and parked work does not count).
   std::size_t queue_capacity = 1 << 16;
   LadderOptions ladder{};
   /// Rung-3 SLO-aware shedding: keep the floor(fraction × batch) drained
@@ -160,9 +142,9 @@ struct ServiceStats {
   std::uint64_t steals = 0;     ///< tenant batches moved to an idle node
   std::uint64_t stolen = 0;     ///< submissions inside those batches
   std::uint64_t reroutes = 0;   ///< submissions re-queued by a node death
-  /// Requeues posted to a drain shard's mailbox. Every displaced
-  /// submission takes exactly one hop, so mailboxed == stolen + reroutes
-  /// for every K (the ledger obs::reconcile_service checks).
+  /// Submissions appended to the requeue list. Every displaced
+  /// submission is requeued exactly once, so mailboxed == stolen +
+  /// reroutes (the ledger obs::reconcile_service checks).
   std::uint64_t mailboxed = 0;
   std::uint64_t admitted = 0;   ///< periods admitted (immediately or woken)
   std::uint64_t woken = 0;      ///< subset admitted off a waitlist
@@ -174,7 +156,7 @@ struct ServiceStats {
   std::uint64_t overflow_drops = 0;  ///< queue-full pushes (not enqueued)
   std::uint64_t max_backlog = 0;     ///< peak queued + parked
   int final_rung = 0;
-  std::uint64_t still_queued = 0;  ///< left in the queue at report time
+  std::uint64_t still_queued = 0;  ///< fresh + requeued left at report time
   // Tenant-truth enforcement (all zero when ServiceConfig::enforce is off).
   std::uint64_t audits = 0;           ///< completed-period audits applied
   std::uint64_t penalties = 0;        ///< ledger rung escalations
@@ -184,23 +166,6 @@ struct ServiceStats {
   std::uint64_t burst_clamps = 0;     ///< over-fair-share bursts unfunded
   std::uint64_t credits_granted = 0;  ///< ledger lifetime grant units
   std::uint64_t credits_spent = 0;    ///< ledger lifetime spend units
-};
-
-/// Per-drain-shard observability counters. In virtual time the shards run
-/// lockstep, so these are bookkeeping views of the partition — they are
-/// NEVER inputs to an admission decision (the ladder stays global; DESIGN
-/// §16 explains why per-shard control EWMAs would break the K-invariance
-/// contract). At quiescence Σ enqueued == stats.enqueued − mailboxed,
-/// Σ drained == stats.drained, Σ mail_in == Σ mail_out == stats.mailboxed.
-struct ShardCounters {
-  std::uint64_t enqueued = 0;     ///< fresh arrivals routed to this shard
-  std::uint64_t drained = 0;      ///< submissions this shard fed to merges
-  std::uint64_t mail_in = 0;      ///< requeues drained from this inbox
-  std::uint64_t mail_out = 0;     ///< requeues this shard's nodes displaced
-  /// Deepest merge runway seen: min(queue depth, drain_batch_max) at the
-  /// start of each merge.
-  std::uint64_t peak_staged = 0;
-  double backlog_ewma = 0.0;      ///< smoothed queue+inbox depth
 };
 
 /// Per-tenant outcome ledger, tracked in every run (enforcement on or off)
@@ -223,8 +188,6 @@ struct TenantSummary {
 
 struct ServiceReport {
   ServiceStats stats;
-  int drain_shards = 0;
-  std::vector<ShardCounters> shards;
   /// Enqueue → admission (immediate or wake) per period.
   obs::LatencyHistogram admission_latency;
   /// Peak declared LLC bytes outstanding on any one node; the strict
@@ -240,9 +203,8 @@ struct ServiceReport {
   std::uint64_t checksum = 0;
   /// Per-tenant rows, sorted by tenant id (always populated).
   std::vector<TenantSummary> tenants;
-  /// TenantLedger digest (0 when enforcement is off). Cross-K runs must
-  /// produce equal fingerprints — the ledger half of the K-invariance
-  /// contract.
+  /// TenantLedger digest (0 when enforcement is off): equal fingerprints
+  /// mean the same audit order, streaks, rungs and credit balances.
   std::uint64_t ledger_fingerprint = 0;
   /// Exact credit conservation: granted == spent + outstanding, in integer
   /// units, checked at report time (trivially true when enforcement is off).
@@ -251,8 +213,7 @@ struct ServiceReport {
 
 class ServiceFrontEnd {
  public:
-  /// Seed of the kRandom routing draw and of the tenant→shard hash
-  /// (arrivals carry their own seed).
+  /// Seed of the kRandom routing draw (arrivals carry their own seed).
   static constexpr std::uint64_t kSeed = 1;
 
   explicit ServiceFrontEnd(ServiceConfig config);
@@ -262,10 +223,6 @@ class ServiceFrontEnd {
   ServiceReport run(ArrivalSource& arrivals, std::uint64_t count);
 
   // Introspection for tests.
-  int drain_shards() const { return num_shards_; }
-  int shard_for_tenant(std::uint64_t tenant) const {
-    return shard_of_tenant(kSeed, tenant, num_shards_);
-  }
   int tenant_home(std::uint64_t tenant) const;
   bool node_up(int node) const {
     return node_up_[static_cast<std::size_t>(node)];
@@ -275,7 +232,7 @@ class ServiceFrontEnd {
   }
 
  private:
-  /// One queued submission (the shard FIFO element).
+  /// One queued submission.
   struct Sub {
     std::uint64_t seq = 0;
     std::uint64_t tenant = 1;
@@ -312,28 +269,12 @@ class ServiceFrontEnd {
     }
   };
 
-  /// One drain shard: the FIFO of its tenants' fresh arrivals, in
-  /// ascending global seq (the lockstep merge reads its head directly),
-  /// and the seniority-ordered inbox for cross-shard requeues. The run is
-  /// single-threaded, so a plain deque serves; it holds only what is
-  /// queued, and the global queue_capacity bounds all shards together.
-  struct DrainShard {
-    std::deque<Sub> queue;
-    Mailbox<Sub> inbox;
-    ShardCounters counters;
-    /// Audits captured by this shard's nodes since the last drain pass,
-    /// each stamped with a GLOBAL completion-order seq; apply_audits()
-    /// merges the slices by seq so ledger state is K-invariant.
-    std::vector<AuditRecord> audit_slice;
-  };
-
   static std::uint64_t flight_key(int node, core::PeriodId period);
 
   void enqueue(const Sub& sub, double at);
   /// Re-enqueues a displaced submission (steal or node-death reroute):
-  /// counts and traces the kEnqueue, then posts it to its tenant's drain
-  /// shard stamped with the next global seniority number.
-  void mailbox_requeue(const Sub& sub, int from_node, double at);
+  /// counts and traces the kEnqueue and appends it to the requeue list.
+  void requeue(const Sub& sub, double at);
   /// Withdraws a parked period from its node and drops it from the parked
   /// books. Returns its submission, or nullopt when an earlier withdrawal
   /// already woke (admitted) it.
@@ -361,9 +302,9 @@ class ServiceFrontEnd {
   void update_ladder();
   /// The LLC bytes a submission will actually occupy on a node.
   double true_occupancy(const Sub& sub) const;
-  /// Merges every shard's captured audit slice (sorted by global seq) into
-  /// the ledger. Runs at the TOP of each drain pass — and once more after
-  /// the run loop exits — so enforcement always acts on last pass's
+  /// Feeds the audits settled since the last pass to the ledger, in
+  /// settle order. Runs at the TOP of each drain pass — and once more
+  /// after the run loop exits — so enforcement always acts on last pass's
   /// completions and no audit is stranded.
   void apply_audits();
   /// Rung-4 quota + credit-priced burst gate for one drained submission.
@@ -371,29 +312,17 @@ class ServiceFrontEnd {
   /// otherwise may clamp the declared LLC bytes to the fair share
   /// (unfunded burst) and records the credit spend.
   bool enforce_ledger(const Sub& sub, double& declared);
+  /// Queued work not yet drained: fresh + requeued + parked.
   std::size_t backlog() const;
   void fold_checksum(std::uint64_t a, std::uint64_t b);
 
-  /// Assembles the pass's drain batch: all mailbox requeues in ascending
-  /// seniority (decision order), then a k-way min-seq merge of the shard
-  /// FIFO heads up to drain_batch_max. The result is the canonical
-  /// global order for any shard count.
-  std::vector<Sub> merge_drain_batch();
-  std::size_t inbox_backlog() const;
-
   ServiceConfig config_;
   std::vector<std::unique_ptr<core::AdmissionCore>> cores_;
-  std::vector<DrainShard> shards_;
-  int num_shards_ = 1;
-  /// Next global seniority number for mailbox requeues. Assigned in the
-  /// (globally sequential) fault/steal phases, so ascending seniority
-  /// replays displaced work in exactly the order it was displaced.
-  std::uint64_t requeue_seq_ = 0;
-  /// Submissions accepted but not yet merged into a drain batch (shard
-  /// FIFOs summed). The overflow decision tests this GLOBAL count against
-  /// queue_capacity — per-shard occupancy varies with K, the global
-  /// backlog does not, so drops are K-invariant.
-  std::size_t queue_backlog_ = 0;
+  /// Fresh submissions in arrival order; queue_capacity bounds it.
+  std::deque<Sub> queue_;
+  /// Displaced submissions (steals, node-death reroutes) in the order they
+  /// were decided. Each drain pass takes all of them ahead of queue_.
+  std::vector<Sub> requeued_;
   util::Rng rng_;
   double now_ = 0.0;
 
@@ -417,10 +346,11 @@ class ServiceFrontEnd {
 
   /// Enforcement state (null / empty unless config_.enforce).
   std::unique_ptr<TenantLedger> ledger_;
-  std::uint64_t audit_seq_ = 0;  ///< global completion-order audit stamp
+  /// Audits settled since the last drain pass, in settle order.
+  std::vector<AuditRecord> pending_audits_;
   /// Open (admitted + parked) submissions per tenant — the rung-4 quota
   /// denominator. Displaced work (reroute/steal) leaves the count while
-  /// mailboxed and rejoins it on re-admission.
+  /// requeued and rejoins it on re-admission.
   std::unordered_map<std::uint64_t, std::uint64_t> tenant_open_;
   /// TRUE placed LLC bytes per node (model_true_occupancy only): the
   /// physical load the thrash model compares against capacity.

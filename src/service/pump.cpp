@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "service/queue.hpp"
-#include "service/shard.hpp"
 #include "util/check.hpp"
 
 namespace rda::service {

@@ -13,7 +13,7 @@
 //                delivery across the whole batch. Because ops are routed
 //                to a shard's queue AT PUSH TIME by their node, no drainer
 //                ever touches another drainer's queue tail or cores — the
-//                wall-clock realization of the DESIGN §16 sharded drain.
+//                pump's sharded drain (DESIGN §16).
 //
 // The pump pins the core in the slow-lane regime on purpose: `squatters`
 // parked waiters (demands that can never co-fit) keep the waitlist
@@ -59,5 +59,9 @@ struct PumpResult {
 /// drainers when batched) and blocks until every op is admitted AND
 /// released on its node.
 PumpResult run_pump(const PumpConfig& config);
+
+/// The drain thread that owns (executes admissions against) node `node`.
+/// With more shards than nodes the extra shards own no node.
+inline int shard_of_node(int node, int shards) { return node % shards; }
 
 }  // namespace rda::service

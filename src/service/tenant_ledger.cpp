@@ -22,11 +22,6 @@ void TenantLedger::trace(obs::EventKind kind, double now,
 bool TenantLedger::audit(std::uint64_t tenant, double declared,
                          double observed, bool contended, double now) {
   std::lock_guard<std::mutex> lock(mu_);
-  return audit_locked(tenant, declared, observed, contended, now);
-}
-
-bool TenantLedger::audit_locked(std::uint64_t tenant, double declared,
-                                double observed, bool contended, double now) {
   // Anonymous or unpriced work is not auditable.
   if (tenant == 0 || declared <= 0.0) return false;
   ++audits_;
@@ -82,21 +77,6 @@ bool TenantLedger::audit_locked(std::uint64_t tenant, double declared,
           static_cast<double>(state.ladder.rung()));
   }
   return true;
-}
-
-void TenantLedger::apply(std::span<const AuditRecord> records) {
-  if (records.empty()) return;
-  std::vector<const AuditRecord*> ordered;
-  ordered.reserve(records.size());
-  for (const AuditRecord& r : records) ordered.push_back(&r);
-  std::sort(ordered.begin(), ordered.end(),
-            [](const AuditRecord* a, const AuditRecord* b) {
-              return a->audit_seq < b->audit_seq;
-            });
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const AuditRecord* r : ordered) {
-    audit_locked(r->tenant, r->declared, r->observed, r->contended, r->time);
-  }
 }
 
 int TenantLedger::rung(std::uint64_t tenant) const {

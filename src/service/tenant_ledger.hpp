@@ -46,22 +46,20 @@
 //      Rungs compose downward: rung 4 also pays the haircut, surcharge,
 //      and deprioritization.
 //
-// Determinism contract (the K-invariance discipline of DESIGN §16): audits
-// arriving from K drain shards are captured as per-shard AuditRecord slices
-// stamped with a global audit_seq and applied through apply(), which sorts
-// by seq — so ledger state, fingerprint(), and every enforcement decision
-// are byte-identical for any shard count. ServiceFrontEnd is the ledger's
-// only owner and the only place its haircut is applied; the admission core
-// and the cluster layer never see it. The ledger is internally
-// synchronized (one mutex; state is tiny and off every fast path) so the
-// front end's drain workers can query it concurrently.
+// Determinism: ledger state depends only on the order of audit() calls.
+// ServiceFrontEnd, the ledger's only owner and the only place its haircut
+// is applied, settles completions into one pending-audit list and feeds it
+// to audit() in settle order at the top of the next drain pass; the
+// admission core and the cluster layer never see the ledger. The ledger is
+// internally synchronized (one mutex; state is tiny and off every fast
+// path), so audits, spends and admission-side queries may come from
+// different threads. The front end calls it from one thread; the one
+// concurrent caller today is TenantLedger.ConcurrentAuditVsAdmitStress.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <span>
-#include <vector>
 
 #include "core/ladder.hpp"
 #include "obs/sink.hpp"
@@ -69,11 +67,9 @@
 namespace rda::service {
 
 /// One captured audit: a completed period's declared primary demand vs the
-/// peak occupancy the counters (or the service's occupancy model) saw.
-/// Captured per drain shard, stamped with a GLOBAL completion-order seq,
-/// merged and applied deterministically by TenantLedger::apply.
+/// peak occupancy the counters (or the service's occupancy model) saw,
+/// held until the front end feeds it to TenantLedger::audit.
 struct AuditRecord {
-  std::uint64_t audit_seq = 0;
   std::uint64_t tenant = 0;
   double declared = 0.0;
   double observed = 0.0;
@@ -125,12 +121,6 @@ class TenantLedger {
   bool audit(std::uint64_t tenant, double declared, double observed,
              bool contended, double now);
 
-  /// Applies a batch of captured audits in audit_seq order (the records
-  /// may arrive unsorted — one slice per drain shard; apply() owns the
-  /// deterministic merge). Equivalent to calling audit() per record in seq
-  /// order.
-  void apply(std::span<const AuditRecord> records);
-
   /// Current penalty rung of a tenant (0 = trusted / unknown).
   int rung(std::uint64_t tenant) const;
 
@@ -170,8 +160,7 @@ class TenantLedger {
   std::uint64_t penalties() const;  ///< rung escalations applied
 
   /// Order-sensitive digest of the full per-tenant state (tenants walked in
-  /// id order). Equal fingerprints mean byte-identical ledgers — the
-  /// cross-K determinism tests compare exactly this.
+  /// id order). Equal fingerprints mean byte-identical ledgers.
   std::uint64_t fingerprint() const;
 
  private:
@@ -186,8 +175,6 @@ class TenantLedger {
     std::uint64_t spent = 0;           ///< lifetime spends (units)
   };
 
-  bool audit_locked(std::uint64_t tenant, double declared, double observed,
-                    bool contended, double now);
   void trace(obs::EventKind kind, double now, std::uint64_t tenant,
              double demand) const;
 

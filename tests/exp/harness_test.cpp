@@ -111,7 +111,7 @@ TEST(Harness, NumericFlagsParseWholeValues) {
   char** args = const_cast<char**>(argv);
   EXPECT_EQ(parse_u64_flag(5, args, "--arrivals", 0), 8000u);
   EXPECT_EQ(parse_double_flag(5, args, "--oversub", 2.0), 1.5);
-  EXPECT_EQ(parse_u64_flag(5, args, "--shards", 3), 3u);  // absent
+  EXPECT_EQ(parse_u64_flag(5, args, "--seeds", 3), 3u);  // absent
 }
 
 // Every numeric flag takes its whole value or stops the binary with a usage

@@ -1,8 +1,8 @@
 // Adversarial arrival shapes and the ServiceFrontEnd's TenantLedger
 // enforcement path (DESIGN §17): the overlay must leave honest tenants'
-// sub-streams bit-identical, the ledger must engage only on liars, and
-// every enforcement decision must stay byte-identical across drain shard
-// counts — the ledger half of the K-invariance contract.
+// sub-streams bit-identical, and the ledger must engage only on liars.
+// tests/service/adversary_quick.expected pins every cell's checksum and
+// ledger fingerprint.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -180,34 +180,6 @@ TEST(Adversary, InflatorClimbsTheLadderAndVictimsRecover) {
     }
   }
   EXPECT_TRUE(enforced.credits_conserved);
-}
-
-TEST(Adversary, LedgerStateIsByteIdenticalAcrossShardCounts) {
-  ArrivalConfig arr = base_arrivals();
-  arr.adversary.kind = AdversaryKind::kWssInflator;
-  arr.adversary.tenant = 1;
-  arr.adversary.factor = 8.0;
-
-  std::vector<ServiceReport> reports;
-  for (const int shards : {1, 4, 16}) {
-    ServiceConfig cfg = enforced_service();
-    cfg.drain_shards = shards;
-    ArrivalGenerator gen(arr);
-    ServiceFrontEnd service(cfg);
-    reports.push_back(service.run(gen, 6000));
-  }
-  const ServiceReport& base = reports.front();
-  ASSERT_GT(base.stats.penalties, 0u);
-  for (const ServiceReport& r : reports) {
-    // The service outcome AND the ledger's full internal state — audit
-    // order, streaks, rungs, credit balances — must be K-invariant.
-    EXPECT_EQ(r.checksum, base.checksum);
-    EXPECT_EQ(r.ledger_fingerprint, base.ledger_fingerprint);
-    EXPECT_EQ(r.stats.audits, base.stats.audits);
-    EXPECT_EQ(r.stats.penalties, base.stats.penalties);
-    EXPECT_EQ(r.stats.credits_granted, base.stats.credits_granted);
-    EXPECT_EQ(r.stats.credits_spent, base.stats.credits_spent);
-  }
 }
 
 TEST(Adversary, EnforcedInflatorRunIsPinned) {

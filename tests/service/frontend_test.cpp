@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
+#include <algorithm>
+#include <map>
 
 #include "obs/recorder.hpp"
 #include "obs/reconcile.hpp"
@@ -100,11 +101,15 @@ TEST(ServiceFrontEnd, QueueLedgerReconcilesAgainstServiceEvents) {
   EXPECT_TRUE(ledger.ok) << ledger.message;
 }
 
-TEST(ServiceFrontEnd, ShardedDrainIsByteIdenticalAcrossShardCounts) {
-  // The config exercises every cross-shard path: a node death (reroutes),
-  // a rejoin (steals), and enough load that shard queues stay non-trivial.
-  // The lockstep merge must make K invisible: any shard count replays the
-  // same canonical order, so checksum, stats, and percentiles all match.
+TEST(ServiceFrontEnd, RequeuedWorkReentersAheadOfFreshInDecisionOrder) {
+  // A node death (reroutes) and a rejoin (steals) on two loaded nodes.
+  // Every displaced submission must enter a node core again (its next
+  // kBegin) in the drain pass right after its requeue, in the order the
+  // requeues were decided (their kMailbox order), ahead of fresh work.
+  // admit_batch runs node by node, so a pass's kBegins are its drain order
+  // grouped by node: the requeued seqs must read as at most one ascending
+  // run of decision order per up node. With one node up that is exactly
+  // one run, and no fresh submission may enter before it ends.
   ArrivalConfig arr = calm_arrivals(37);
   arr.rate = 1500.0;
   arr.demand_mean_bytes = 6.0 * kMB;
@@ -112,157 +117,94 @@ TEST(ServiceFrontEnd, ShardedDrainIsByteIdenticalAcrossShardCounts) {
   ServiceConfig cfg;
   cfg.nodes = 2;
   cfg.node_llc_bytes = 15.0 * kMB;
-  cfg.ladder.queue_high = 1.0e9;
+  cfg.ladder.queue_high = 1.0e9;  // keep the ladder quiet: no shedding
   cfg.ladder.latency_high_seconds = 1.0e9;
   cfg.fault.node = 1;
   cfg.fault.fail_at_seconds = 0.2;
   cfg.fault.recover_at_seconds = 0.35;
+  obs::EventRecorder recorder(1 << 18);
+  cfg.trace_sink = &recorder;
+  ArrivalGenerator gen(arr);
+  ServiceFrontEnd service(cfg);
+  const ServiceReport report = service.run(gen, 1200);
+  ASSERT_EQ(recorder.dropped(), 0u);
+  ASSERT_GE(report.stats.steals, 1u);
+  ASSERT_GT(report.stats.reroutes, 0u);
+  EXPECT_EQ(report.stats.mailboxed,
+            report.stats.stolen + report.stats.reroutes);
 
-  std::vector<ServiceReport> reports;
-  for (const int shards : {1, 4, 16}) {
-    cfg.drain_shards = shards;
-    ArrivalGenerator gen(arr);
-    ServiceFrontEnd service(cfg);
-    reports.push_back(service.run(gen, 1200));
-    EXPECT_EQ(reports.back().drain_shards, shards);
-    EXPECT_EQ(reports.back().shards.size(),
-              static_cast<std::size_t>(shards));
-  }
-  const ServiceReport& base = reports.front();
-  EXPECT_GE(base.stats.steals, 1u);
-  EXPECT_GT(base.stats.reroutes, 0u);
-  for (const ServiceReport& r : reports) {
-    EXPECT_EQ(r.checksum, base.checksum);
-    EXPECT_EQ(r.stats.completed, base.stats.completed);
-    EXPECT_EQ(r.stats.drains, base.stats.drains);
-    EXPECT_EQ(r.stats.stolen, base.stats.stolen);
-    EXPECT_EQ(r.stats.reroutes, base.stats.reroutes);
-    EXPECT_EQ(r.stats.mailboxed, base.stats.mailboxed);
-    EXPECT_EQ(r.elapsed_seconds, base.elapsed_seconds);
-    EXPECT_EQ(r.admission_latency.p99(), base.admission_latency.p99());
-
-    // Mailbox ledger: every displaced submission took exactly one hop.
-    EXPECT_EQ(r.stats.mailboxed, r.stats.stolen + r.stats.reroutes);
-    // Per-shard counters partition the global stats exactly.
-    std::uint64_t enqueued = 0, drained = 0, mail_in = 0, mail_out = 0;
-    for (const ShardCounters& c : r.shards) {
-      enqueued += c.enqueued;
-      drained += c.drained;
-      mail_in += c.mail_in;
-      mail_out += c.mail_out;
+  std::uint64_t decided = 0;  // kMailbox events seen
+  std::map<std::uint64_t, std::uint64_t> pending;  // seq -> decision index
+  std::uint64_t reentered = 0;
+  // The pass being replayed: requeues it still owes, its up nodes, and
+  // the descents in decision order among its re-entries so far.
+  std::size_t owed = 0;
+  int pass_nodes_up = 0;
+  int descents = 0;
+  std::uint64_t last_index = 0;
+  int nodes_up = cfg.nodes;
+  std::size_t single_node_passes = 0;
+  const auto close_pass = [&] {
+    EXPECT_EQ(owed, 0u) << "a requeue outlived the pass after it";
+    EXPECT_LT(descents, std::max(pass_nodes_up, 1));
+  };
+  for (const obs::Event& e : recorder.events()) {
+    const auto seq = static_cast<std::uint64_t>(e.thread);
+    switch (e.kind) {
+      case obs::EventKind::kNodeDown: --nodes_up; break;
+      case obs::EventKind::kNodeUp: ++nodes_up; break;
+      case obs::EventKind::kMailbox: pending[seq] = decided++; break;
+      case obs::EventKind::kBatchDrain:
+        close_pass();
+        owed = pending.size();
+        pass_nodes_up = nodes_up;
+        descents = 0;
+        last_index = 0;
+        if (owed > 0 && nodes_up == 1) ++single_node_passes;
+        break;
+      case obs::EventKind::kBegin: {
+        const auto it = pending.find(seq);
+        if (it == pending.end()) {
+          if (pass_nodes_up == 1) {
+            EXPECT_EQ(owed, 0u) << "fresh seq " << seq
+                                << " entered ahead of requeued work";
+          }
+          break;
+        }
+        if (it->second < last_index) ++descents;
+        last_index = it->second;
+        pending.erase(it);
+        ++reentered;
+        if (owed > 0) --owed;
+        break;
+      }
+      default: break;
     }
-    EXPECT_EQ(enqueued, r.stats.enqueued - r.stats.mailboxed);
-    EXPECT_EQ(drained, r.stats.drained);
-    EXPECT_EQ(mail_in, r.stats.mailboxed);
-    EXPECT_EQ(mail_out, r.stats.mailboxed);
   }
+  close_pass();
+  EXPECT_TRUE(pending.empty());
+  EXPECT_EQ(decided, report.stats.mailboxed);
+  EXPECT_EQ(reentered, decided);
+  EXPECT_GT(single_node_passes, 0u);
 }
 
 TEST(ServiceFrontEnd, GlobalQueueCapacityIsTheOnlyOverflowBound) {
-  // Bursts that outrun the drain against a 64-deep global bound: pushes
-  // beyond the bound are dropped, whichever shard the tenant hashes to.
-  // The drop decision reads only the global backlog, so the drops, and
-  // everything downstream of them, are the same for any K.
+  // Bursts that outrun the drain against a 64-deep bound: pushes beyond
+  // the bound are dropped, and every arrival is completed, shed or
+  // dropped — nothing else loses work.
   ArrivalConfig arr = calm_arrivals(43);
   arr.shape = ArrivalShape::kBursty;
   arr.rate = 25000.0;
   ServiceConfig cfg = small_service();
   cfg.queue_capacity = 64;
   constexpr std::uint64_t kArrivals = 20000;
-
-  std::vector<ServiceReport> reports;
-  for (const int shards : {1, 4, 16}) {
-    cfg.drain_shards = shards;
-    ArrivalGenerator gen(arr);
-    ServiceFrontEnd service(cfg);
-    reports.push_back(service.run(gen, kArrivals));
-  }
-  const ServiceReport& base = reports.front();
-  EXPECT_GT(base.stats.overflow_drops, 0u);
-  for (const ServiceReport& r : reports) {
-    const ServiceStats& s = r.stats;
-    EXPECT_EQ(s.completed + s.shed + s.overflow_drops, kArrivals);
-    EXPECT_EQ(s.still_queued, 0u);
-    EXPECT_EQ(r.checksum, base.checksum);
-    EXPECT_EQ(s.enqueued, base.stats.enqueued);
-    EXPECT_EQ(s.drains, base.stats.drains);
-    EXPECT_EQ(s.drained, base.stats.drained);
-    EXPECT_EQ(s.shed, base.stats.shed);
-    EXPECT_EQ(s.steals, base.stats.steals);
-    EXPECT_EQ(s.stolen, base.stats.stolen);
-    EXPECT_EQ(s.mailboxed, base.stats.mailboxed);
-    EXPECT_EQ(s.admitted, base.stats.admitted);
-    EXPECT_EQ(s.woken, base.stats.woken);
-    EXPECT_EQ(s.completed, base.stats.completed);
-    EXPECT_EQ(s.clamped, base.stats.clamped);
-    EXPECT_EQ(s.oversubscribed, base.stats.oversubscribed);
-    EXPECT_EQ(s.escalations, base.stats.escalations);
-    EXPECT_EQ(s.deescalations, base.stats.deescalations);
-    EXPECT_EQ(s.overflow_drops, base.stats.overflow_drops);
-    EXPECT_EQ(s.max_backlog, base.stats.max_backlog);
-    EXPECT_EQ(s.final_rung, base.stats.final_rung);
-    EXPECT_EQ(r.elapsed_seconds, base.elapsed_seconds);
-    EXPECT_EQ(r.admission_latency.p99(), base.admission_latency.p99());
-    ASSERT_EQ(r.tenants.size(), base.tenants.size());
-    for (std::size_t i = 0; i < r.tenants.size(); ++i) {
-      const TenantSummary& x = r.tenants[i];
-      const TenantSummary& y = base.tenants[i];
-      EXPECT_EQ(x.tenant, y.tenant);
-      EXPECT_EQ(x.arrivals, y.arrivals);
-      EXPECT_EQ(x.completed, y.completed);
-      EXPECT_EQ(x.shed, y.shed);
-      EXPECT_EQ(x.work, y.work);
-      EXPECT_EQ(x.admissions, y.admissions);
-      EXPECT_EQ(x.latency_sum, y.latency_sum);
-    }
-  }
-}
-
-TEST(ServiceFrontEnd, ShardCountersArePinnedAtFourShards) {
-  // Every per-shard counter of one fixed run (values recorded before the
-  // shard queues became plain FIFOs). peak_staged and backlog_ewma see
-  // the shard's unmerged depth, so a change to how a shard holds its
-  // submissions shows up here even when the merged order does not move.
-  ArrivalConfig arr = calm_arrivals(37);
-  arr.rate = 1500.0;
-  arr.demand_mean_bytes = 6.0 * kMB;
-  arr.service_mean_seconds = 5.0e-3;
-  ServiceConfig cfg;
-  cfg.nodes = 2;
-  cfg.drain_shards = 4;
-  cfg.node_llc_bytes = 15.0 * kMB;
-  cfg.drain_batch_max = 4;
-  cfg.ladder.queue_high = 1.0e9;
-  cfg.ladder.latency_high_seconds = 1.0e9;
-  cfg.fault.node = 1;
-  cfg.fault.fail_at_seconds = 0.2;
-  cfg.fault.recover_at_seconds = 0.35;
   ArrivalGenerator gen(arr);
   ServiceFrontEnd service(cfg);
-  const ServiceReport report = service.run(gen, 1200);
-
-  struct Expected {
-    std::uint64_t enqueued, drained, mail_in, mail_out, peak_staged;
-    std::uint64_t backlog_ewma_bits;
-  };
-  const Expected expected[] = {
-      {224, 289, 65, 152, 3, 0x365e684fa3b057acull},
-      {240, 289, 49, 46, 3, 0x36994f981fbbc784ull},
-      {240, 295, 55, 0, 3, 0x310026c296146e9full},
-      {496, 525, 29, 0, 4, 0x35aa5c70052c13d0ull},
-  };
-  ASSERT_EQ(report.shards.size(), 4u);
-  for (std::size_t k = 0; k < 4; ++k) {
-    SCOPED_TRACE(k);
-    const ShardCounters& c = report.shards[k];
-    EXPECT_EQ(c.enqueued, expected[k].enqueued);
-    EXPECT_EQ(c.drained, expected[k].drained);
-    EXPECT_EQ(c.mail_in, expected[k].mail_in);
-    EXPECT_EQ(c.mail_out, expected[k].mail_out);
-    EXPECT_EQ(c.peak_staged, expected[k].peak_staged);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(c.backlog_ewma),
-              expected[k].backlog_ewma_bits);
-  }
+  const ServiceStats s = service.run(gen, kArrivals).stats;
+  EXPECT_GT(s.overflow_drops, 0u);
+  EXPECT_EQ(s.completed + s.shed + s.overflow_drops, kArrivals);
+  EXPECT_EQ(s.enqueued, kArrivals - s.overflow_drops + s.mailboxed);
+  EXPECT_EQ(s.still_queued, 0u);
 }
 
 TEST(ServiceFrontEnd, SloSheddingKeepsGoodputAtOrAboveDropAll) {

@@ -1,52 +1,11 @@
-// Unit coverage for the drain-shard primitives: the tenant→shard routing
-// hash and the seniority-ordered inter-shard mailbox (DESIGN §16). The
-// mailbox ordering rule is the load-bearing one — the frontend's lockstep
-// merge is only K-invariant because a steal and a reroute landing in the
-// same round replay in decision order, not arrival order.
-#include "service/shard.hpp"
-
+// Unit coverage for the wall-clock pump's node ownership rule (DESIGN §16):
+// drainer s owns the nodes with n % shards == s.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdint>
-#include <set>
-#include <vector>
+#include "service/pump.hpp"
 
 namespace rda::service {
 namespace {
-
-TEST(ShardHash, TenantShardIsDeterministicAndInRange) {
-  for (const int shards : {1, 3, 4, 16}) {
-    for (std::uint64_t tenant = 1; tenant <= 500; ++tenant) {
-      const int s = shard_of_tenant(7, tenant, shards);
-      ASSERT_GE(s, 0);
-      ASSERT_LT(s, shards);
-      // A tenant's shard never moves: the whole sharding contract rests
-      // on push-time routing agreeing with every later mailbox send.
-      ASSERT_EQ(s, shard_of_tenant(7, tenant, shards));
-    }
-  }
-}
-
-TEST(ShardHash, SpreadsTenantsAcrossAllShards) {
-  // 500 tenants over 16 shards: every shard should own some tenants (a
-  // degenerate hash would funnel the fleet through one drain queue).
-  std::set<int> hit;
-  for (std::uint64_t tenant = 1; tenant <= 500; ++tenant) {
-    hit.insert(shard_of_tenant(1, tenant, 16));
-  }
-  EXPECT_EQ(hit.size(), 16u);
-}
-
-TEST(ShardHash, SeedMovesTheAssignment) {
-  // Different fleet seeds shard tenants differently — at least one of the
-  // first few tenants must land elsewhere.
-  bool moved = false;
-  for (std::uint64_t tenant = 1; tenant <= 32 && !moved; ++tenant) {
-    moved = shard_of_tenant(1, tenant, 16) != shard_of_tenant(2, tenant, 16);
-  }
-  EXPECT_TRUE(moved);
-}
 
 TEST(ShardHash, NodeOwnershipPartitionsNodes) {
   // Drainer s owns the nodes with n % shards == s; with more shards than
@@ -59,56 +18,6 @@ TEST(ShardHash, NodeOwnershipPartitionsNodes) {
       ASSERT_EQ(owner, node % shards);
     }
   }
-}
-
-TEST(ShardMailbox, DrainReturnsSeniorityOrderRegardlessOfSendOrder) {
-  Mailbox<int> box;
-  box.send(5, 50);
-  box.send(1, 10);
-  box.send(3, 30);
-  EXPECT_EQ(box.size(), 3u);
-  EXPECT_FALSE(box.empty());
-
-  std::vector<Mailbox<int>::Entry> out;
-  EXPECT_EQ(box.drain(out), 3u);
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0].seniority, 1u);
-  EXPECT_EQ(out[0].value, 10);
-  EXPECT_EQ(out[1].seniority, 3u);
-  EXPECT_EQ(out[2].seniority, 5u);
-  EXPECT_TRUE(box.empty());
-
-  // Drain appends: a second round lands after the first in the same out
-  // vector, exactly how the frontend accumulates across shards.
-  box.send(2, 20);
-  EXPECT_EQ(box.drain(out), 1u);
-  ASSERT_EQ(out.size(), 4u);
-  EXPECT_EQ(out[3].seniority, 2u);
-}
-
-TEST(ShardMailbox, StealAndRerouteInTheSameRoundReplayInDecisionOrder) {
-  // The frontend's merge rule, in miniature: a node death reroutes
-  // submission A (decision #0) and a steal then displaces submission B
-  // (decision #1), but B's send lands in its shard's box before A's does.
-  // After draining ALL boxes and sorting by seniority — exactly what
-  // merge_drain_batch does — the replay order is the decision order, so
-  // the batch is identical to what a single-shard run would build.
-  Mailbox<char> shard0;
-  Mailbox<char> shard1;
-  shard1.send(1, 'B');  // the steal's send happens to land first
-  shard0.send(0, 'A');  // the reroute was decided first
-
-  std::vector<Mailbox<char>::Entry> merged;
-  shard0.drain(merged);
-  shard1.drain(merged);
-  std::sort(merged.begin(), merged.end(),
-            [](const Mailbox<char>::Entry& a, const Mailbox<char>::Entry& b) {
-              return a.seniority < b.seniority;
-            });
-
-  ASSERT_EQ(merged.size(), 2u);
-  EXPECT_EQ(merged[0].value, 'A');
-  EXPECT_EQ(merged[1].value, 'B');
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // TenantLedger — demand-truth auditing, Karma credits, and the penalty
 // ladder (DESIGN §17): escalation only on sustained divergence, guaranteed
-// recovery for honest-but-contended tenants, exact credit conservation,
-// and the sharded-capture determinism contract (apply() of per-shard
-// slices == sequential audits in seq order).
+// recovery for honest-but-contended tenants, and exact credit
+// conservation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -251,54 +250,6 @@ TEST(CreditConservation, GrantsTruncateAtTheCap) {
   EXPECT_EQ(ledger.credits_balance(1), TenantLedger::kCreditCap);
   EXPECT_EQ(ledger.total_granted(), TenantLedger::kCreditCap);
   EXPECT_TRUE(ledger.credits_conserved());
-}
-
-// The sharded-capture contract: audits recorded into per-shard slices and
-// merged through apply() must produce byte-identical ledger state to
-// auditing sequentially in global seq order, for any slicing.
-TEST(TenantLedger, ApplyOfShardSlicesMatchesSequentialAudits) {
-  std::vector<AuditRecord> records;
-  for (std::uint64_t seq = 0; seq < 200; ++seq) {
-    AuditRecord r;
-    r.audit_seq = seq;
-    r.tenant = 1 + seq % 5;
-    r.declared = 100.0 * kUnit;
-    // Mix honest, inflated, and contended-lower-bound periods.
-    r.observed = (seq % 3 == 0) ? 90.0 * kUnit : 12.0 * kUnit;
-    r.contended = seq % 7 == 0;
-    r.time = static_cast<double>(seq);
-    records.push_back(r);
-  }
-
-  TenantLedger sequential;
-  for (const AuditRecord& r : records) {
-    sequential.audit(r.tenant, r.declared, r.observed, r.contended, r.time);
-  }
-
-  for (int shards : {1, 3, 16}) {
-    // Deal records round-robin into K slices (what K drain shards capture),
-    // then concatenate the slices — records arrive at apply() out of seq
-    // order exactly as the sharded drain would deliver them.
-    std::vector<std::vector<AuditRecord>> slices(
-        static_cast<std::size_t>(shards));
-    for (std::size_t i = 0; i < records.size(); ++i) {
-      slices[i % static_cast<std::size_t>(shards)].push_back(records[i]);
-    }
-    std::vector<AuditRecord> merged;
-    for (const auto& slice : slices) {
-      merged.insert(merged.end(), slice.begin(), slice.end());
-    }
-
-    TenantLedger sharded;
-    sharded.apply(merged);
-    EXPECT_EQ(sharded.fingerprint(), sequential.fingerprint())
-        << "ledger state diverged at " << shards << " shards";
-    for (std::uint64_t t = 1; t <= 5; ++t) {
-      EXPECT_EQ(sharded.rung(t), sequential.rung(t));
-      EXPECT_DOUBLE_EQ(sharded.honesty(t), sequential.honesty(t));
-      EXPECT_EQ(sharded.credits_balance(t), sequential.credits_balance(t));
-    }
-  }
 }
 
 TEST(TenantLedger, FingerprintSeparatesDifferentHistories) {
