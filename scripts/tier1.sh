@@ -31,7 +31,7 @@ if [[ "$run_tsan" == 1 ]]; then
     --target runtime_test core_test integration_test fault_test trace_test \
              util_test service_test cluster_test
   ( cd build-asan && ctest \
-      -R 'AdmissionGate|AdmissionCore|AdmissionParity|ContendedStress|Sharding|GateRace|Combiner|MultiResource\.|Waitlist|WakeStrategy|FaultInjector|FaultScenario|FaultGate|Watchdog|EscalationLadder|Reclaim|TraceCorrupt|AtomicFile|ServiceRace|ServicePump|ServiceFrontEnd|ShardHash|Arrival|SubmissionQueue|TenantLedger|Adversary|Credit|Feedback|DemandCorrector|Cluster' \
+      -R 'AdmissionGate|AdmissionCore|AdmissionParity|ContendedStress|Sharding|GateRace|Combiner|MultiResource\.|Waitlist|WakeStrategy|FaultInjector|FaultScenario|FaultGate|Watchdog|EscalationLadder|Reclaim|TraceCorrupt|AtomicFile|FlatMap|ServiceRace|ServicePump|ServiceFrontEnd|ShardHash|Arrival|SubmissionQueue|TenantLedger|Adversary|Credit|Feedback|DemandCorrector|Cluster' \
       --output-on-failure -j "$(nproc)" )
 fi
 

@@ -234,15 +234,12 @@ AdmitTicket AdmissionCore::slow_admit_locked(AdmitRequest request, double now,
   return ticket;
 }
 
-std::vector<AdmitTicket> AdmissionCore::admit_batch(
-    std::vector<AdmitRequest> requests, double now) {
-  std::vector<AdmitTicket> tickets(requests.size());
-  struct Leftover {
-    std::size_t index;
-    bool partitioned;
-    double declared;
-  };
-  std::vector<Leftover> leftovers;
+void AdmissionCore::admit_batch(std::span<AdmitRequest> requests, double now,
+                                std::span<AdmitTicket> tickets) {
+  RDA_CHECK(tickets.size() == requests.size());
+  // A ticket the calm lane did not fill keeps kInvalidPeriod; the slow
+  // lane takes exactly those, in request order.
+  bool any_slow = false;
   LazyTime lazy_now(now);
   for (std::size_t i = 0; i < requests.size(); ++i) {
     AdmitRequest& request = requests[i];
@@ -250,25 +247,38 @@ std::vector<AdmitTicket> AdmissionCore::admit_batch(
                   "pp_begin with no declared demand from thread "
                       << request.thread);
     AdmitTicket& ticket = tickets[i];
+    ticket = AdmitTicket{};
+    if (!calm()) {
+      any_slow = true;
+      continue;
+    }
+    // A denied fast_admit leaves the request untouched, so the slow lane
+    // can redo the partition transform from the declared demand.
     const double declared = request.demands.front().amount;
     const bool partitioned =
         partition_on_entry(request.demands.front(), ticket);
-    if (calm() &&
-        fast_admit(request, lazy_now, partitioned, declared, ticket)) {
+    if (fast_admit(request, lazy_now, partitioned, declared, ticket)) {
       continue;
     }
-    leftovers.push_back({i, partitioned, declared});
+    if (partitioned) {
+      request.demands.front().amount = declared;
+      ticket.occupancy_cap = 0.0;
+    }
+    any_slow = true;
   }
-  if (!leftovers.empty()) {
-    on_slow_lane([&] {
-      for (const Leftover& l : leftovers) {
-        tickets[l.index] =
-            slow_admit_locked(std::move(requests[l.index]), now, l.partitioned,
-                              l.declared, tickets[l.index].occupancy_cap);
-      }
-    });
-  }
-  return tickets;
+  if (!any_slow) return;
+  on_slow_lane([&] {
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      AdmitTicket& ticket = tickets[i];
+      if (ticket.id != kInvalidPeriod) continue;
+      AdmitRequest& request = requests[i];
+      const double declared = request.demands.front().amount;
+      const bool partitioned =
+          partition_on_entry(request.demands.front(), ticket);
+      ticket = slow_admit_locked(std::move(request), now, partitioned,
+                                 declared, ticket.occupancy_cap);
+    }
+  });
 }
 
 bool AdmissionCore::withdraw(PeriodId id, double now) {
@@ -339,32 +349,31 @@ ReleaseTicket AdmissionCore::release(PeriodId id,
   return slow_release(id, observed, now.get());
 }
 
-std::vector<ReleaseTicket> AdmissionCore::release_batch(
-    const std::vector<PeriodId>& ids, double now) {
-  std::vector<ReleaseTicket> tickets(ids.size());
-  std::vector<std::size_t> leftovers;
+void AdmissionCore::release_batch(std::span<const PeriodId> ids, double now,
+                                  std::span<ReleaseTicket> tickets) {
+  RDA_CHECK(tickets.size() == ids.size());
   bool any_fast = false;
+  bool any_slow = false;
   LazyTime lazy_now(now);
   for (std::size_t i = 0; i < ids.size(); ++i) {
+    tickets[i].fast_path = false;
     if (calm() && fast_release(ids[i], lazy_now, tickets[i])) {
       any_fast = true;
       continue;
     }
-    leftovers.push_back(i);
+    any_slow = true;
   }
-  if (!leftovers.empty()) {
+  if (any_slow) {
     // One slow-mutex hold, one rescan, one wake flush for every record the
-    // calm lane could not claim. (end_periods rescans after all the budget
-    // is back, which also covers the Dekker obligation of the fast ones.)
-    std::vector<PeriodId> leftover_ids;
-    leftover_ids.reserve(leftovers.size());
-    for (const std::size_t i : leftovers) leftover_ids.push_back(ids[i]);
+    // calm lane could not claim. (The rescan runs after all the budget is
+    // back, which also covers the Dekker obligation of the fast ones.)
     on_slow_lane([&] {
-      std::vector<PeriodRecord> records =
-          monitor_.end_periods(leftover_ids, now);
-      for (std::size_t j = 0; j < leftovers.size(); ++j) {
-        tickets[leftovers[j]].record = std::move(records[j]);
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        if (!tickets[i].fast_path) {
+          tickets[i].record = monitor_.discharge(ids[i], now);
+        }
       }
+      monitor_.rescan_release(now);
     });
   } else if (any_fast && (monitor_.waitlist().size() != 0 ||
                           monitor_.disabled_pool_count() != 0)) {
@@ -372,7 +381,6 @@ std::vector<ReleaseTicket> AdmissionCore::release_batch(
     // whole batch instead of once per release.
     on_slow_lane([&] { monitor_.rescan_release(now); });
   }
-  return tickets;
 }
 
 ReleaseTicket AdmissionCore::slow_release(PeriodId id,

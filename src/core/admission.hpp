@@ -53,6 +53,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -239,15 +240,18 @@ class AdmissionCore {
   }
 
   /// Batched pp_begin for the service front end's drain loop. Semantically
-  /// identical to calling admit() per request in order (tickets come back in
-  /// request order), but calm requests go through the lock-free lane
-  /// individually while every slow-lane leftover shares ONE slow-mutex
-  /// acquisition, one wake batch, and one deliver — the per-call lock and
-  /// notify cost is amortized across the whole batch. Leftovers keep their
-  /// original arrival order (FIFO fairness). A nested-begin throw aborts the
-  /// batch like it aborts the single call.
-  std::vector<AdmitTicket> admit_batch(std::vector<AdmitRequest> requests,
-                                       double now);
+  /// identical to calling admit() per request in order: tickets[i] answers
+  /// requests[i] (the two spans have one size). Calm requests go through
+  /// the lock-free lane individually while every slow-lane leftover shares
+  /// ONE slow-mutex acquisition, one wake batch, and one deliver — the
+  /// per-call lock and notify cost is amortized across the whole batch.
+  /// Leftovers keep their original arrival order (FIFO fairness). Each
+  /// request's demands move into its period's record. The call allocates
+  /// nothing of its own: the tickets and the request buffers are the
+  /// caller's, so concurrent callers share no scratch. A nested-begin throw
+  /// aborts the batch like it aborts the single call.
+  void admit_batch(std::span<AdmitRequest> requests, double now,
+                   std::span<AdmitTicket> tickets);
 
   /// Withdraws a request that is still waitlisted (timeout / try_begin /
   /// shutdown). Returns false — withdrawing NOTHING — when the period was
@@ -271,14 +275,17 @@ class AdmissionCore {
     return release(id, observed, LazyTime(now));
   }
 
-  /// Batched pp_end. Calm records release through the lock-free lane; the
+  /// Batched pp_end; tickets[i] answers ids[i] (the two spans have one
+  /// size), and its record hands the period's demand buffer back to the
+  /// caller for reuse. Calm records release through the lock-free lane; the
   /// rest are discharged together under one slow-mutex hold with a single
-  /// waitlist rescan for the whole batch (ProgressMonitor::end_periods), and
+  /// waitlist rescan for the whole batch (ProgressMonitor::discharge per
+  /// record, then one rescan_release), and
   /// the Dekker re-check after a purely fast batch escalates at most once.
   /// No counter observations: feedback-corrected periods must go through the
   /// single-call release() (feedback disables the calm lane anyway).
-  std::vector<ReleaseTicket> release_batch(const std::vector<PeriodId>& ids,
-                                           double now);
+  void release_batch(std::span<const PeriodId> ids, double now,
+                     std::span<ReleaseTicket> tickets);
 
   /// Active (admitted OR waitlisted) period of a thread, if any.
   std::optional<PeriodId> active_for_thread(sim::ThreadId thread) const {

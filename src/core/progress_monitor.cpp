@@ -534,16 +534,6 @@ PeriodRecord ProgressMonitor::end_period(PeriodId id, double now) {
   return record;
 }
 
-std::vector<PeriodRecord> ProgressMonitor::end_periods(
-    const std::vector<PeriodId>& ids, double now) {
-  WakeBatch batch(*this);
-  std::vector<PeriodRecord> records;
-  records.reserve(ids.size());
-  for (const PeriodId id : ids) records.push_back(discharge(id, now));
-  rescan(now);
-  return records;
-}
-
 bool ProgressMonitor::cancel_waiting(PeriodId id, double now) {
   WakeBatch batch(*this);
   {

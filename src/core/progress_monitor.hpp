@@ -197,13 +197,13 @@ class ProgressMonitor {
   /// pp_end. Throws if the id is unknown. Returns the closed record.
   PeriodRecord end_period(PeriodId id, double now);
 
-  /// Batched pp_end: removes and discharges every id first, then re-offers
-  /// the freed capacity with ONE waitlist rescan for the whole batch (one
-  /// release storm = one scheduling pass = one wake flush, instead of a
-  /// rescan per end). Records are returned in id-argument order. Throws on
-  /// the first unknown or never-admitted id, like end_period.
-  std::vector<PeriodRecord> end_periods(const std::vector<PeriodId>& ids,
-                                        double now);
+  /// pp_end without the rescan: removes one admitted period, returns its
+  /// budget and hands back the closed record. Throws on an unknown or
+  /// never-admitted id, like end_period. A batched pp_end discharges every
+  /// id first and then calls rescan_release ONCE (one release storm = one
+  /// scheduling pass = one wake flush, instead of a rescan per end); the
+  /// core's release_batch does this inside one WakeBatch.
+  PeriodRecord discharge(PeriodId id, double now);
 
   /// Cancels a period that is still waitlisted (native-runtime timeout /
   /// shutdown path). Returns false if the period was already admitted or
@@ -319,9 +319,6 @@ class ProgressMonitor {
 
  private:
   void admit(PeriodId id);  ///< bookkeeping common to every admission
-  /// Removes one admitted period and returns its budget (the shared body
-  /// of end_period and end_periods); the caller rescans afterwards.
-  PeriodRecord discharge(PeriodId id, double now);
   void wake_entry(const Waitlist::Entry& entry, double now,
                   bool notify = true);
   void flush_batch();

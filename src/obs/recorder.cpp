@@ -2,6 +2,17 @@
 
 namespace rda::obs {
 
+namespace {
+
+/// One open wait interval per (thread, period): period ids alone repeat
+/// across cores that share a recorder (each core's registry issues the same
+/// ids). Unique while period ids stay below 2^32.
+std::uint64_t wait_key(const Event& event) {
+  return (static_cast<std::uint64_t>(event.thread) << 32) ^ event.period;
+}
+
+}  // namespace
+
 EventRecorder::EventRecorder(std::size_t capacity) : ring_(capacity) {}
 
 void EventRecorder::record(const Event& event) {
@@ -10,7 +21,7 @@ void EventRecorder::record(const Event& event) {
   ++counts_[static_cast<std::size_t>(event.kind)];
   switch (event.kind) {
     case EventKind::kBlock:
-      block_time_[event.period] = event.time;
+      block_time_[wait_key(event)] = event.time;
       break;
     case EventKind::kWake:
     case EventKind::kForceAdmit:
@@ -21,10 +32,10 @@ void EventRecorder::record(const Event& event) {
       // skipped; cancels and reaps count the aborted wait as latency too —
       // that is the latency the caller actually suffered.
       // A reclaim of an *admitted* period has no open interval either.
-      const auto it = block_time_.find(event.period);
-      if (it != block_time_.end()) {
-        waits_.add(event.time - it->second);
-        block_time_.erase(it);
+      const std::uint64_t key = wait_key(event);
+      if (const double* blocked = block_time_.find(key)) {
+        waits_.add(event.time - *blocked);
+        block_time_.erase(key);
       }
       break;
     }

@@ -1,20 +1,21 @@
 // EventRecorder — the standard concrete TraceSink.
 //
 // Owns the event ring, per-kind counters, and the wait-latency histogram
-// (block→wake matched online by period id, so force-admitted and
-// pool-group wakes are timed too). Thread-safe: the native gate already
+// (block→wake matched online by (thread, period), so force-admitted and
+// pool-group wakes are timed too, and several admission cores whose period
+// ids overlap can share one recorder). Thread-safe: the native gate already
 // serializes emissions under its mutex, but the recorder does not depend
 // on that.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/histogram.hpp"
 #include "obs/ring.hpp"
 #include "obs/sink.hpp"
+#include "util/flat_map.hpp"
 
 namespace rda::obs {
 
@@ -37,8 +38,9 @@ class EventRecorder final : public TraceSink {
   mutable SpinLock lock_;  ///< guards counts_, waits_, block_time_
   std::array<std::uint64_t, kNumEventKinds> counts_{};
   WaitHistogram waits_;
-  /// Block timestamp of periods currently parked (consumed on wake).
-  std::unordered_map<core::PeriodId, double> block_time_;
+  /// Block timestamp of periods currently parked (consumed on wake), keyed
+  /// by wait_key(thread, period).
+  util::FlatMap<double> block_time_;
 };
 
 }  // namespace rda::obs

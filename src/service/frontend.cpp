@@ -60,6 +60,7 @@ ServiceFrontEnd::ServiceFrontEnd(ServiceConfig config)
                     config_.shed_keep_fraction < 1.0,
                 "shed keep fraction must be in [0, 1)");
   true_outstanding_.assign(static_cast<std::size_t>(config_.nodes), 0.0);
+  node_scratch_.resize(static_cast<std::size_t>(config_.nodes));
   if (config_.enforce) {
     ledger_ = std::make_unique<TenantLedger>(config_.trace_sink);
   }
@@ -82,13 +83,28 @@ std::uint64_t ServiceFrontEnd::flight_key(int node, core::PeriodId period) {
 }
 
 int ServiceFrontEnd::tenant_home(std::uint64_t tenant) const {
-  const auto it = tenant_home_.find(tenant);
-  if (it == tenant_home_.end()) return -1;
-  return node_up_[static_cast<std::size_t>(it->second)] ? it->second : -1;
+  const int* home = tenant_home_.find(tenant);
+  if (home == nullptr) return -1;
+  return node_up_[static_cast<std::size_t>(*home)] ? *home : -1;
 }
 
 std::size_t ServiceFrontEnd::backlog() const {
-  return queue_.size() + requeued_.size() + parked_.size();
+  return queue_.size() + parked_.size();
+}
+
+ServiceFrontEnd::Sub& ServiceFrontEnd::SubRing::push_back(const Sub& sub) {
+  if (size_ == slots_.size()) {
+    std::vector<Sub> grown(slots_.empty() ? 64 : 2 * slots_.size());
+    for (std::size_t i = 0; i < size_; ++i) {
+      grown[i] = slots_[(head_ + i) & (slots_.size() - 1)];
+    }
+    slots_.swap(grown);
+    head_ = 0;
+  }
+  Sub& slot = slots_[(head_ + size_) & (slots_.size() - 1)];
+  slot = sub;
+  ++size_;
+  return slot;
 }
 
 void ServiceFrontEnd::fold_checksum(std::uint64_t a, std::uint64_t b) {
@@ -118,7 +134,7 @@ void ServiceFrontEnd::enqueue(const Sub& sub, double at) {
     ++stats_.overflow_drops;  // never entered the ledger
     return;
   }
-  Sub& queued = queue_.emplace_back(sub);
+  Sub& queued = queue_.push_back(sub);
   queued.enqueue_time = at;
   ++stats_.enqueued;
   trace_service(obs::EventKind::kEnqueue, at, sub.seq, sub.tenant,
@@ -137,9 +153,9 @@ void ServiceFrontEnd::requeue(const Sub& sub, double at) {
 
 std::optional<ServiceFrontEnd::Sub> ServiceFrontEnd::withdraw_parked(
     std::uint64_t key, double now) {
-  const auto it = parked_.find(key);
-  if (it == parked_.end()) return std::nullopt;
-  const Parked parked = it->second;
+  const Parked* found = parked_.find(key);
+  if (found == nullptr) return std::nullopt;
+  const Parked parked = *found;
   const core::PeriodId period = key & ((std::uint64_t{1} << 56) - 1);
   const core::WithdrawResult result =
       cores_[static_cast<std::size_t>(parked.node)]->try_withdraw(period, now);
@@ -170,13 +186,16 @@ int ServiceFrontEnd::route(std::uint64_t tenant, double declared,
   int chosen = -1;
   switch (config_.routing) {
     case RoutePolicy::kRandom: {
-      std::vector<int> up;
-      up.reserve(static_cast<std::size_t>(config_.nodes));
+      // The draw picks the k-th up node, in node order.
+      std::uint64_t up = 0;
       for (int n = 0; n < config_.nodes; ++n) {
-        if (node_up_[static_cast<std::size_t>(n)]) up.push_back(n);
+        if (node_up_[static_cast<std::size_t>(n)]) ++up;
       }
-      RDA_CHECK_MSG(!up.empty(), "no node is up to route to");
-      chosen = up[rng_.next_below(up.size())];
+      RDA_CHECK_MSG(up > 0, "no node is up to route to");
+      std::uint64_t pick = rng_.next_below(up);
+      for (int n = 0; chosen < 0; ++n) {
+        if (node_up_[static_cast<std::size_t>(n)] && pick-- == 0) chosen = n;
+      }
       break;
     }
     case RoutePolicy::kLocalityAware: {
@@ -191,11 +210,7 @@ int ServiceFrontEnd::route(std::uint64_t tenant, double declared,
       //      warm. Cross-node imbalance is the steal pass's job,
       //      sustained overload the ladder's (the depth EWMA counts
       //      parked periods).
-      const auto it = tenant_home_.find(tenant);
-      const int home = (it != tenant_home_.end() &&
-                        node_up_[static_cast<std::size_t>(it->second)])
-                           ? it->second
-                           : -1;
+      const int home = tenant_home(tenant);
       if (home < 0) {
         chosen = least_loaded();
       } else {
@@ -225,14 +240,14 @@ int ServiceFrontEnd::route(std::uint64_t tenant, double declared,
     // tenant's working set stays warm at home (re-homing on every spill
     // would shear the footprint exactly when the fleet saturates). Only
     // the first placement, a steal, or a node death moves the home.
-    tenant_home_.emplace(tenant, chosen);
+    tenant_home_.insert(tenant, chosen);
   } else {
     // Under kRandom a placement that happens to land on the tenant's
     // previous node is warm too — warmth is discovered there, not
     // engineered — and the home follows the latest placement.
-    const auto it = tenant_home_.find(tenant);
-    warm = it != tenant_home_.end() && it->second == chosen;
-    tenant_home_[tenant] = chosen;
+    const auto [home, inserted] = tenant_home_.insert(tenant, chosen);
+    warm = !inserted && *home == chosen;
+    *home = chosen;
   }
   return chosen;
 }
@@ -352,18 +367,19 @@ void ServiceFrontEnd::record_admission(const Sub& sub, int node,
     if (true_load > config_.node_llc_bytes) penalty *= kThrashPenalty;
   }
 
+  const double factor = penalty * (warm ? kWarmServiceFactor : 1.0);
+  const double done_at = now_ + sub.service * factor;
   const std::uint64_t key = flight_key(node, period);
   Flight flight;
   flight.sub = sub;
   flight.node = node;
   flight.thread = static_cast<sim::ThreadId>(sub.seq);
   flight.declared = declared;
-  RDA_CHECK(in_flight_.emplace(key, flight).second);
+  flight.done_at = done_at;
+  RDA_CHECK(in_flight_.insert(key, flight).second);
   charge_outstanding(node, declared, +1.0);
   ++in_flight_count_[static_cast<std::size_t>(node)];
 
-  const double factor = penalty * (warm ? kWarmServiceFactor : 1.0);
-  const double done_at = now_ + sub.service * factor;
   completions_.push(Completion{done_at, key});
   fold_checksum(sub.seq, (static_cast<std::uint64_t>(node) << 32) ^
                              std::bit_cast<std::uint64_t>(done_at));
@@ -373,11 +389,11 @@ void ServiceFrontEnd::on_wakes(
     int node, const std::vector<core::ProgressMonitor::WakeGrant>& grants) {
   for (const core::ProgressMonitor::WakeGrant& grant : grants) {
     const std::uint64_t key = flight_key(node, grant.period);
-    const auto it = parked_.find(key);
-    RDA_CHECK_MSG(it != parked_.end(),
+    const Parked* found = parked_.find(key);
+    RDA_CHECK_MSG(found != nullptr,
                   "wake for a period the service never parked");
-    const Parked parked = it->second;
-    parked_.erase(it);
+    const Parked parked = *found;
+    parked_.erase(key);
     --parked_depth_[static_cast<std::size_t>(node)];
     record_admission(parked.sub, node, grant.period, parked.declared,
                      parked.penalty, parked.warm, /*from_wake=*/true);
@@ -387,22 +403,18 @@ void ServiceFrontEnd::on_wakes(
 void ServiceFrontEnd::release_due(double now) {
   // Pop everything due, bucketing per node so each node pays ONE
   // release_batch (one slow-lane pass + one wake delivery) per drain.
-  std::vector<std::vector<core::PeriodId>> due(
-      static_cast<std::size_t>(config_.nodes));
-  std::vector<std::vector<double>> done_times(
-      static_cast<std::size_t>(config_.nodes));
+  for (NodeScratch& scratch : node_scratch_) scratch.due.clear();
   while (!completions_.empty() && completions_.top().time <= now) {
     const Completion top = completions_.top();
     completions_.pop();
-    const auto it = in_flight_.find(top.key);
-    if (it == in_flight_.end()) continue;  // reaped by a node death
-    const int node = it->second.node;
-    due[static_cast<std::size_t>(node)].push_back(
+    const Flight* flight = in_flight_.find(top.key);
+    if (flight == nullptr) continue;  // reaped by a node death
+    node_scratch_[static_cast<std::size_t>(flight->node)].due.push_back(
         top.key & ((std::uint64_t{1} << 56) - 1));
-    done_times[static_cast<std::size_t>(node)].push_back(top.time);
   }
   for (int n = 0; n < config_.nodes; ++n) {
-    auto& ids = due[static_cast<std::size_t>(n)];
+    const std::vector<core::PeriodId>& ids =
+        node_scratch_[static_cast<std::size_t>(n)].due;
     if (ids.empty()) continue;
     // Settle the outstanding mirror BEFORE release_batch: the core frees the
     // completed periods' budget and synchronously wakes parked work in that
@@ -410,12 +422,12 @@ void ServiceFrontEnd::release_due(double now) {
     // completed flights still on the books at that moment, the mirror would
     // transiently double-count (completed + woken) and peak_outstanding
     // would read ~2x a bound the core never actually exceeded.
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      const std::uint64_t key = flight_key(n, ids[i]);
-      const auto it = in_flight_.find(key);
-      RDA_CHECK(it != in_flight_.end());
-      const Flight& flight = it->second;
-      const double done = done_times[static_cast<std::size_t>(n)][i];
+    for (const core::PeriodId id : ids) {
+      const std::uint64_t key = flight_key(n, id);
+      const Flight* found = in_flight_.find(key);
+      RDA_CHECK(found != nullptr);
+      const Flight& flight = *found;
+      const double done = flight.done_at;
       ++stats_.completed;
       completed_work_ += flight.sub.service;
       last_completion_ = std::max(last_completion_, done);
@@ -445,9 +457,18 @@ void ServiceFrontEnd::release_due(double now) {
       charge_outstanding(n, flight.declared, -1.0);
       --in_flight_count_[static_cast<std::size_t>(n)];
       fold_checksum(flight.sub.seq, std::bit_cast<std::uint64_t>(done));
-      in_flight_.erase(it);
+      in_flight_.erase(key);
     }
-    cores_[static_cast<std::size_t>(n)]->release_batch(ids, now);
+    release_tickets_.resize(ids.size());
+    cores_[static_cast<std::size_t>(n)]->release_batch(ids, now,
+                                                       release_tickets_);
+    // The closed records hand their demand buffers back for reuse.
+    for (core::ReleaseTicket& ticket : release_tickets_) {
+      std::vector<core::ResourceDemand>& demands = ticket.record.demands;
+      if (demands.capacity() == 0) continue;
+      demands.clear();
+      spare_demands_.push_back(std::move(demands));
+    }
   }
 }
 
@@ -488,7 +509,7 @@ void ServiceFrontEnd::apply_fault(double now) {
     }
     std::sort(flight_keys.begin(), flight_keys.end());
     for (const std::uint64_t key : flight_keys) {
-      const Flight flight = in_flight_.at(key);
+      const Flight flight = *in_flight_.find(key);
       const core::ProgressMonitor::ReapOutcome outcome =
           cores_[n]->reap(flight.thread, now);
       RDA_CHECK_MSG(outcome.reaped && outcome.was_admitted,
@@ -507,9 +528,11 @@ void ServiceFrontEnd::apply_fault(double now) {
     }
 
     // The dead node is nobody's home anymore.
-    for (auto it = tenant_home_.begin(); it != tenant_home_.end();) {
-      it = it->second == fault.node ? tenant_home_.erase(it) : std::next(it);
+    std::vector<std::uint64_t> homeless;
+    for (const auto& [tenant, home] : tenant_home_) {
+      if (home == fault.node) homeless.push_back(tenant);
     }
+    for (const std::uint64_t tenant : homeless) tenant_home_.erase(tenant);
     return;
   }
 
@@ -522,48 +545,62 @@ void ServiceFrontEnd::apply_fault(double now) {
 }
 
 void ServiceFrontEnd::steal_pass(double now) {
-  if (config_.routing != RoutePolicy::kLocalityAware) return;
-
-  // Aggregate the parked population per (node, tenant). The map is ordered
-  // and the per-batch key lists are sorted, so the pass is deterministic
-  // regardless of hash-map iteration order.
-  std::map<std::pair<int, std::uint64_t>, std::vector<std::uint64_t>>
-      batches;
-  std::vector<std::size_t> parked_count(
-      static_cast<std::size_t>(config_.nodes), 0);
-  for (const auto& [key, parked] : parked_) {
-    batches[{parked.node, parked.sub.tenant}].push_back(key);
-    ++parked_count[static_cast<std::size_t>(parked.node)];
+  if (config_.routing != RoutePolicy::kLocalityAware || parked_.empty()) {
+    return;
   }
-  if (batches.empty()) return;
 
+  // The thief: the first up node with nothing admitted and nothing parked.
   int thief = -1;
   for (int n = 0; n < config_.nodes; ++n) {
     const auto idx = static_cast<std::size_t>(n);
     if (node_up_[idx] && in_flight_count_[idx] == 0 &&
-        parked_count[idx] == 0) {
+        parked_depth_[idx] == 0) {
       thief = n;
       break;
     }
   }
   if (thief < 0) return;
 
+  // Aggregate the parked population per (node, tenant): sorted by node,
+  // tenant and key, so the pass is deterministic regardless of hash order
+  // and each (node, tenant) batch is one run of ascending keys.
+  steal_scratch_.clear();
+  for (const auto& [key, parked] : parked_) {
+    steal_scratch_.push_back({parked.node, parked.sub.tenant, key});
+  }
+  std::sort(steal_scratch_.begin(), steal_scratch_.end());
+  const auto run_end = [&](std::size_t i) {
+    std::size_t j = i;
+    while (j < steal_scratch_.size() &&
+           steal_scratch_[j].node == steal_scratch_[i].node &&
+           steal_scratch_[j].tenant == steal_scratch_[i].tenant) {
+      ++j;
+    }
+    return j;
+  };
+
   // Donor: the node with the deepest parked backlog, but only if it holds
   // MORE than one tenant's batch — stealing a lone tenant's batch would
   // just shear its working set to a cold LLC for nothing.
   int donor = -1;
   std::size_t donor_depth = 0;
-  for (int n = 0; n < config_.nodes; ++n) {
-    const auto idx = static_cast<std::size_t>(n);
-    if (n == thief || parked_count[idx] == 0) continue;
+  std::size_t donor_begin = 0;
+  std::size_t donor_end = 0;
+  for (std::size_t i = 0; i < steal_scratch_.size();) {
+    const int node = steal_scratch_[i].node;
     std::size_t tenants_here = 0;
-    for (const auto& [node_tenant, keys] : batches) {
-      if (node_tenant.first == n) ++tenants_here;
+    std::size_t j = i;
+    while (j < steal_scratch_.size() && steal_scratch_[j].node == node) {
+      ++tenants_here;
+      j = run_end(j);
     }
-    if (tenants_here >= 2 && parked_count[idx] > donor_depth) {
-      donor = n;
-      donor_depth = parked_count[idx];
+    if (node != thief && tenants_here >= 2 && j - i > donor_depth) {
+      donor = node;
+      donor_depth = j - i;
+      donor_begin = i;
+      donor_end = j;
     }
+    i = j;
   }
   if (donor < 0) return;
 
@@ -571,22 +608,23 @@ void ServiceFrontEnd::steal_pass(double now) {
   // id) — cheapest working set to rebuild on the thief.
   std::uint64_t victim = 0;
   std::size_t victim_size = 0;
-  for (const auto& [node_tenant, keys] : batches) {
-    if (node_tenant.first != donor) continue;
-    if (victim == 0 || keys.size() < victim_size) {
-      victim = node_tenant.second;
-      victim_size = keys.size();
+  std::size_t victim_begin = 0;
+  for (std::size_t i = donor_begin; i < donor_end;) {
+    const std::size_t j = run_end(i);
+    if (victim == 0 || j - i < victim_size) {
+      victim = steal_scratch_[i].tenant;
+      victim_size = j - i;
+      victim_begin = i;
     }
+    i = j;
   }
   RDA_CHECK(victim != 0);
 
-  auto keys = batches.at({donor, victim});
-  std::sort(keys.begin(), keys.end());
   std::uint64_t moved = 0;
-  for (const std::uint64_t key : keys) {
+  for (std::size_t i = victim_begin; i < victim_begin + victim_size; ++i) {
     // Withdrawing an earlier victim can unblock the donor's waitlist and
     // wake (admit) a later one mid-batch; a woken period stays home.
-    const std::optional<Sub> sub = withdraw_parked(key, now);
+    const std::optional<Sub> sub = withdraw_parked(steal_scratch_[i].key, now);
     if (!sub) continue;
     // Stolen work keeps its original enqueue time: its admission latency
     // reflects the whole wait, not a reset clock.
@@ -601,6 +639,16 @@ void ServiceFrontEnd::steal_pass(double now) {
                 static_cast<double>(moved));
 }
 
+void ServiceFrontEnd::set_llc_demand(core::AdmitRequest& request,
+                                     double declared) {
+  std::vector<core::ResourceDemand>& demands = request.demands;
+  if (!spare_demands_.empty()) {
+    demands.swap(spare_demands_.back());
+    spare_demands_.pop_back();
+  }
+  demands.assign(1, core::ResourceDemand{ResourceKind::kLLC, declared});
+}
+
 void ServiceFrontEnd::drain_pass(double now) {
   // Fold last release's audits into the ledger BEFORE any enforcement
   // decision this pass — enforcement always acts on settled evidence.
@@ -608,19 +656,18 @@ void ServiceFrontEnd::drain_pass(double now) {
 
   // Requeued work first, in the order it was displaced; then fresh
   // submissions in arrival order while the pass has room.
-  std::vector<Sub> popped;
-  popped.swap(requeued_);
-  popped.reserve(std::min(kDrainBatchMax, popped.size() + queue_.size()));
-  while (popped.size() < kDrainBatchMax && !queue_.empty()) {
-    popped.push_back(queue_.front());
+  popped_.clear();
+  popped_.swap(requeued_);
+  while (popped_.size() < kDrainBatchMax && !queue_.empty()) {
+    popped_.push_back(queue_.front());
     queue_.pop_front();
   }
-  if (popped.empty()) return;
+  if (popped_.empty()) return;
 
   ++stats_.drains;
-  stats_.drained += popped.size();
+  stats_.drained += popped_.size();
   trace_service(obs::EventKind::kBatchDrain, now, stats_.drains, 0,
-                static_cast<double>(popped.size()));
+                static_cast<double>(popped_.size()));
 
   if (ladder_.rung() >= 3) {
     // SLO-aware shedding: keep the floor(fraction × batch) submissions
@@ -629,36 +676,36 @@ void ServiceFrontEnd::drain_pass(double now) {
     // goodput degrades less than dropping everything. fraction 0 is
     // exactly the old drop-all rung.
     const std::size_t keep = static_cast<std::size_t>(
-        config_.shed_keep_fraction * static_cast<double>(popped.size()));
-    std::vector<char> kept(popped.size(), 0);
+        config_.shed_keep_fraction * static_cast<double>(popped_.size()));
+    shed_kept_.assign(popped_.size(), 0);
     if (keep > 0) {
-      std::vector<std::size_t> order(popped.size());
-      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-      std::sort(order.begin(), order.end(),
+      shed_order_.resize(popped_.size());
+      for (std::size_t i = 0; i < shed_order_.size(); ++i) shed_order_[i] = i;
+      std::sort(shed_order_.begin(), shed_order_.end(),
                 [&](std::size_t a, std::size_t b) {
-                  const double ca = popped[a].demand * popped[a].service;
-                  const double cb = popped[b].demand * popped[b].service;
+                  const double ca = popped_[a].demand * popped_[a].service;
+                  const double cb = popped_[b].demand * popped_[b].service;
                   if (ca != cb) return ca > cb;
-                  return popped[a].seq < popped[b].seq;
+                  return popped_[a].seq < popped_[b].seq;
                 });
-      for (std::size_t i = 0; i < keep; ++i) kept[order[i]] = 1;
+      for (std::size_t i = 0; i < keep; ++i) shed_kept_[shed_order_[i]] = 1;
     }
-    std::vector<Sub> survivors;
-    survivors.reserve(keep);
-    for (std::size_t i = 0; i < popped.size(); ++i) {
-      if (kept[i] != 0) {
-        survivors.push_back(popped[i]);
+    // Survivors move forward in place and proceed to admission, in order.
+    std::size_t survivors = 0;
+    for (std::size_t i = 0; i < popped_.size(); ++i) {
+      if (shed_kept_[i] != 0) {
+        popped_[survivors++] = popped_[i];
         continue;
       }
       ++stats_.shed;
-      TenantSummary& row = tenant_rows_[popped[i].tenant];
-      row.tenant = popped[i].tenant;
+      TenantSummary& row = tenant_rows_[popped_[i].tenant];
+      row.tenant = popped_[i].tenant;
       ++row.shed;
-      trace_service(obs::EventKind::kShed, now, popped[i].seq,
-                    popped[i].tenant, popped[i].demand);
+      trace_service(obs::EventKind::kShed, now, popped_[i].seq,
+                    popped_[i].tenant, popped_[i].demand);
     }
-    if (survivors.empty()) return;
-    popped.swap(survivors);  // survivors proceed to admission, in order
+    popped_.resize(survivors);
+    if (popped_.empty()) return;
   }
 
   if (ledger_ != nullptr) {
@@ -666,25 +713,28 @@ void ServiceFrontEnd::drain_pass(double now) {
     // batch (stable, so order within each class is preserved) — honest
     // tenants' work is routed and admitted first, and when capacity runs
     // out mid-batch it is the deprioritized tail that parks.
-    const auto first_depri = std::stable_partition(
-        popped.begin(), popped.end(), [&](const Sub& sub) {
-          return !ledger_->deprioritized(sub.tenant);
-        });
-    stats_.deprioritized +=
-        static_cast<std::uint64_t>(std::distance(first_depri, popped.end()));
+    deprioritized_.clear();
+    std::size_t honest = 0;
+    for (const Sub& sub : popped_) {
+      if (ledger_->deprioritized(sub.tenant)) {
+        deprioritized_.push_back(sub);
+      } else {
+        popped_[honest++] = sub;
+      }
+    }
+    popped_.resize(honest);
+    popped_.insert(popped_.end(), deprioritized_.begin(),
+                   deprioritized_.end());
+    stats_.deprioritized += deprioritized_.size();
   }
 
   // Route every submission, bucketing requests per node so each node pays
   // ONE admit_batch for its whole share of the drain.
-  struct NodeBatch {
-    std::vector<core::AdmitRequest> requests;
-    std::vector<const Sub*> subs;
-    std::vector<double> declared;
-    std::vector<double> penalties;
-    std::vector<bool> warm;
-  };
-  std::vector<NodeBatch> batches(static_cast<std::size_t>(config_.nodes));
-  for (const Sub& sub : popped) {
+  for (NodeScratch& scratch : node_scratch_) {
+    scratch.requests.clear();
+    scratch.placed.clear();
+  }
+  for (const Sub& sub : popped_) {
     double penalty = 1.0;
     bool clamped = false;
     bool oversubscribed = false;
@@ -704,39 +754,35 @@ void ServiceFrontEnd::drain_pass(double now) {
     }
     bool warm = false;
     const int node = route(sub.tenant, declared, warm);
-    auto& batch = batches[static_cast<std::size_t>(node)];
-    core::AdmitRequest request;
+    NodeScratch& batch = node_scratch_[static_cast<std::size_t>(node)];
+    core::AdmitRequest& request = batch.requests.emplace_back();
     request.thread = static_cast<sim::ThreadId>(sub.seq);
     request.process = static_cast<sim::ProcessId>(sub.tenant);
-    request.demands = {{ResourceKind::kLLC, declared}};
-    batch.requests.push_back(std::move(request));
-    batch.subs.push_back(&sub);
-    batch.declared.push_back(declared);
-    batch.penalties.push_back(penalty);
-    batch.warm.push_back(warm);
+    set_llc_demand(request, declared);
+    batch.placed.push_back(Placement{&sub, declared, penalty, warm});
   }
 
   for (int n = 0; n < config_.nodes; ++n) {
-    auto& batch = batches[static_cast<std::size_t>(n)];
+    NodeScratch& batch = node_scratch_[static_cast<std::size_t>(n)];
     if (batch.requests.empty()) continue;
-    const std::vector<core::AdmitTicket> tickets =
-        cores_[static_cast<std::size_t>(n)]->admit_batch(
-            std::move(batch.requests), now);
-    for (std::size_t i = 0; i < tickets.size(); ++i) {
-      const core::AdmitTicket& ticket = tickets[i];
+    admit_tickets_.resize(batch.requests.size());
+    cores_[static_cast<std::size_t>(n)]->admit_batch(batch.requests, now,
+                                                     admit_tickets_);
+    for (std::size_t i = 0; i < admit_tickets_.size(); ++i) {
+      const core::AdmitTicket& ticket = admit_tickets_[i];
+      const Placement& placed = batch.placed[i];
       if (ticket.admitted) {
-        record_admission(*batch.subs[i], n, ticket.id, batch.declared[i],
-                         batch.penalties[i], batch.warm[i],
-                         /*from_wake=*/false);
+        record_admission(*placed.sub, n, ticket.id, placed.declared,
+                         placed.penalty, placed.warm, /*from_wake=*/false);
       } else {
         Parked parked;
-        parked.sub = *batch.subs[i];
+        parked.sub = *placed.sub;
         parked.node = n;
-        parked.declared = batch.declared[i];
-        parked.penalty = batch.penalties[i];
-        parked.warm = batch.warm[i];
+        parked.declared = placed.declared;
+        parked.penalty = placed.penalty;
+        parked.warm = placed.warm;
         RDA_CHECK(
-            parked_.emplace(flight_key(n, ticket.id), parked).second);
+            parked_.insert(flight_key(n, ticket.id), parked).second);
         ++parked_depth_[static_cast<std::size_t>(n)];
       }
     }
@@ -805,9 +851,8 @@ ServiceReport ServiceFrontEnd::run(ArrivalSource& arrivals,
 
     // Keep ticking after the last completion until the ladder settles:
     // idle ticks decay both EWMAs geometrically, so this terminates.
-    if (!have && queue_.empty() && requeued_.empty() && parked_.empty() &&
-        in_flight_.empty() && completions_.empty() &&
-        ladder_.rung() == 0) {
+    if (!have && queue_.empty() && parked_.empty() && in_flight_.empty() &&
+        completions_.empty() && ladder_.rung() == 0) {
       break;
     }
   }
@@ -819,7 +864,7 @@ ServiceReport ServiceFrontEnd::run(ArrivalSource& arrivals,
 
   ServiceReport report;
   stats_.final_rung = ladder_.rung();
-  stats_.still_queued = queue_.size() + requeued_.size();
+  stats_.still_queued = queue_.size();
   if (ledger_ != nullptr) {
     stats_.audits = ledger_->audits();
     stats_.penalties = ledger_->penalties();

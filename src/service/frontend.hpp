@@ -44,16 +44,21 @@
 // arrival seed) pair reproduces the run bit-for-bit, which the tier-1
 // byte-determinism stage depends on. The wall-clock counterpart (real
 // producer threads against one core) lives in service/pump.hpp.
+//
+// Once warm, a run allocates nothing per arrival: the fresh queue is a ring
+// that only grows, the drain and release passes fill member scratch that is
+// cleared and keeps its capacity, the books keyed by tenant or flight are
+// util::FlatMaps, and each request's demand buffer comes back in its
+// release ticket and is reused for a later request.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
 #include <queue>
 #include <string_view>
-#include <unordered_map>
+#include <tuple>
 #include <vector>
 
 #include "core/admission.hpp"
@@ -62,6 +67,7 @@
 #include "obs/sink.hpp"
 #include "service/arrival.hpp"
 #include "service/tenant_ledger.hpp"
+#include "util/flat_map.hpp"
 #include "util/rng.hpp"
 
 namespace rda::service {
@@ -156,7 +162,7 @@ struct ServiceStats {
   std::uint64_t overflow_drops = 0;  ///< queue-full pushes (not enqueued)
   std::uint64_t max_backlog = 0;     ///< peak queued + parked
   int final_rung = 0;
-  std::uint64_t still_queued = 0;  ///< fresh + requeued left at report time
+  std::uint64_t still_queued = 0;  ///< fresh submissions left at report time
   // Tenant-truth enforcement (all zero when ServiceConfig::enforce is off).
   std::uint64_t audits = 0;           ///< completed-period audits applied
   std::uint64_t penalties = 0;        ///< ledger rung escalations
@@ -260,6 +266,48 @@ class ServiceFrontEnd {
     int node = -1;
     sim::ThreadId thread = sim::kInvalidThread;
     double declared = 0.0;
+    double done_at = 0.0;  ///< virtual completion time
+  };
+  /// One submission routed to a node in the current drain pass.
+  struct Placement {
+    const Sub* sub = nullptr;  ///< into popped_
+    double declared = 0.0;     ///< LLC bytes as charged to the core
+    double penalty = 1.0;
+    bool warm = false;
+  };
+  /// One node's share of a drain or release pass. Cleared every pass; the
+  /// buffers keep their capacity.
+  struct NodeScratch {
+    std::vector<core::AdmitRequest> requests;  ///< admit_batch input
+    std::vector<Placement> placed;             ///< placed[i] is requests[i]
+    std::vector<core::PeriodId> due;           ///< release_batch input
+  };
+  /// A parked period in steal_pass's per-(node, tenant) aggregation.
+  struct ParkedRef {
+    int node = -1;
+    std::uint64_t tenant = 0;
+    std::uint64_t key = 0;
+    bool operator<(const ParkedRef& o) const {
+      return std::tie(node, tenant, key) < std::tie(o.node, o.tenant, o.key);
+    }
+  };
+  /// FIFO of fresh submissions on a power-of-two ring that doubles when
+  /// full and never shrinks.
+  class SubRing {
+   public:
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
+    const Sub& front() const { return slots_[head_]; }
+    Sub& push_back(const Sub& sub);
+    void pop_front() {
+      head_ = (head_ + 1) & (slots_.size() - 1);
+      --size_;
+    }
+
+   private:
+    std::vector<Sub> slots_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
   };
   struct Completion {
     double time = 0.0;
@@ -285,6 +333,9 @@ class ServiceFrontEnd {
   /// node) and whether the placement is warm (landed on the tenant home).
   int route(std::uint64_t tenant, double declared, bool& warm);
   int least_loaded() const;
+  /// Fills `request`'s demand vector with one LLC demand, in a recycled
+  /// buffer when one is spare.
+  void set_llc_demand(core::AdmitRequest& request, double declared);
   /// Applies the current rung's transformation to the submission's
   /// declared LLC bytes: rung 1 clamps, rung 2 under-declares.
   double shape_demand(const Sub& sub, double& penalty, bool& clamped,
@@ -312,17 +363,31 @@ class ServiceFrontEnd {
   /// otherwise may clamp the declared LLC bytes to the fair share
   /// (unfunded burst) and records the credit spend.
   bool enforce_ledger(const Sub& sub, double& declared);
-  /// Queued work not yet drained: fresh + requeued + parked.
+  /// Queued work not yet drained: fresh + parked. (The requeue list is
+  /// empty outside a tick: drain_pass takes all of it.)
   std::size_t backlog() const;
   void fold_checksum(std::uint64_t a, std::uint64_t b);
 
   ServiceConfig config_;
   std::vector<std::unique_ptr<core::AdmissionCore>> cores_;
   /// Fresh submissions in arrival order; queue_capacity bounds it.
-  std::deque<Sub> queue_;
+  SubRing queue_;
   /// Displaced submissions (steals, node-death reroutes) in the order they
-  /// were decided. Each drain pass takes all of them ahead of queue_.
+  /// were decided, filled by apply_fault and steal_pass and taken whole by
+  /// the same tick's drain_pass, ahead of queue_.
   std::vector<Sub> requeued_;
+  /// The current drain pass's submissions (swaps buffers with requeued_).
+  std::vector<Sub> popped_;
+  /// Overload-shedding and deprioritization scratch.
+  std::vector<std::size_t> shed_order_;
+  std::vector<char> shed_kept_;
+  std::vector<Sub> deprioritized_;
+  std::vector<NodeScratch> node_scratch_;  ///< one per node
+  std::vector<core::AdmitTicket> admit_tickets_;
+  std::vector<core::ReleaseTicket> release_tickets_;
+  std::vector<ParkedRef> steal_scratch_;
+  /// Demand buffers harvested from release tickets, reused by requests.
+  std::vector<std::vector<core::ResourceDemand>> spare_demands_;
   util::Rng rng_;
   double now_ = 0.0;
 
@@ -331,9 +396,9 @@ class ServiceFrontEnd {
   double peak_outstanding_ = 0.0;    ///< max over nodes and time
   std::vector<std::uint64_t> in_flight_count_;
   std::vector<std::size_t> parked_depth_;  ///< parked periods per node
-  std::unordered_map<std::uint64_t, int> tenant_home_;
-  std::unordered_map<std::uint64_t, Parked> parked_;     ///< by flight key
-  std::unordered_map<std::uint64_t, Flight> in_flight_;  ///< by flight key
+  util::FlatMap<int> tenant_home_;
+  util::FlatMap<Parked> parked_;     ///< by flight key
+  util::FlatMap<Flight> in_flight_;  ///< by flight key
   std::priority_queue<Completion, std::vector<Completion>,
                       std::greater<Completion>>
       completions_;
@@ -351,7 +416,7 @@ class ServiceFrontEnd {
   /// Open (admitted + parked) submissions per tenant — the rung-4 quota
   /// denominator. Displaced work (reroute/steal) leaves the count while
   /// requeued and rejoins it on re-admission.
-  std::unordered_map<std::uint64_t, std::uint64_t> tenant_open_;
+  util::FlatMap<std::uint64_t> tenant_open_;
   /// TRUE placed LLC bytes per node (model_true_occupancy only): the
   /// physical load the thrash model compares against capacity.
   std::vector<double> true_outstanding_;

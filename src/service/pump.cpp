@@ -149,7 +149,9 @@ PumpResult run_pump(const PumpConfig& config) {
         std::vector<sim::ThreadId> batch;
         std::vector<std::vector<core::AdmitRequest>> requests(
             static_cast<std::size_t>(nodes));
+        std::vector<core::AdmitTicket> tickets;
         std::vector<core::PeriodId> admitted;
+        std::vector<core::ReleaseTicket> released;
         std::uint64_t drained = 0;
         while (drained < expected[static_cast<std::size_t>(s)]) {
           batch.clear();
@@ -170,18 +172,19 @@ PumpResult run_pump(const PumpConfig& config) {
           for (int n = s; n < nodes; n += shards) {
             auto& bucket = requests[static_cast<std::size_t>(n)];
             if (bucket.empty()) continue;
-            const std::vector<core::AdmitTicket> tickets =
-                cores[static_cast<std::size_t>(n)]->admit_batch(
-                    std::move(bucket), 0.0);
-            bucket = {};
+            tickets.resize(bucket.size());
+            cores[static_cast<std::size_t>(n)]->admit_batch(bucket, 0.0,
+                                                            tickets);
+            bucket.clear();
             admitted.clear();
             for (const core::AdmitTicket& ticket : tickets) {
               RDA_CHECK_MSG(ticket.admitted,
                             "pump demand sized to always admit");
               admitted.push_back(ticket.id);
             }
-            cores[static_cast<std::size_t>(n)]->release_batch(admitted,
-                                                              0.0);
+            released.resize(admitted.size());
+            cores[static_cast<std::size_t>(n)]->release_batch(admitted, 0.0,
+                                                              released);
           }
         }
       });

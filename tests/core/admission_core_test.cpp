@@ -214,6 +214,12 @@ TEST(AdmissionCore, EmptyDemandListRejected) {
 
 // --- Batch entry points (service front end drain loop) ----------------------
 
+/// One release_batch over `ids`, tickets discarded.
+void release_all(AdmissionCore& core, std::vector<PeriodId> ids, double now) {
+  std::vector<ReleaseTicket> tickets(ids.size());
+  core.release_batch(ids, now, tickets);
+}
+
 TEST(AdmissionBatch, AdmitBatchMatchesPerCallSequence) {
   // The batched path must be semantically identical to calling admit() per
   // request in order: same tickets, same stats, same resource usage.
@@ -228,8 +234,8 @@ TEST(AdmissionBatch, AdmitBatchMatchesPerCallSequence) {
   }
   std::vector<AdmitRequest> reqs_copy = reqs;
 
-  const std::vector<AdmitTicket> tickets =
-      batched.admit_batch(std::move(reqs), 0.0);
+  std::vector<AdmitTicket> tickets(reqs.size());
+  batched.admit_batch(reqs, 0.0, tickets);
   std::vector<AdmitTicket> expected;
   for (AdmitRequest& r : reqs_copy) {
     expected.push_back(serial.admit(std::move(r), 0.0));
@@ -263,8 +269,8 @@ TEST(AdmissionBatch, AdmitBatchParksOverflowInArrivalOrder) {
   // 16 MB of budget, four 6 MB requests: two admit, two park — in order.
   std::vector<AdmitRequest> reqs;
   for (sim::ThreadId t = 1; t <= 4; ++t) reqs.push_back(request(t, mb(6)));
-  const std::vector<AdmitTicket> tickets =
-      core.admit_batch(std::move(reqs), 0.0);
+  std::vector<AdmitTicket> tickets(reqs.size());
+  core.admit_batch(reqs, 0.0, tickets);
   EXPECT_TRUE(tickets[0].admitted);
   EXPECT_TRUE(tickets[1].admitted);
   EXPECT_FALSE(tickets[2].admitted);
@@ -273,7 +279,7 @@ TEST(AdmissionBatch, AdmitBatchParksOverflowInArrivalOrder) {
 
   // Freeing both admitted periods wakes the parked pair FIFO, and the whole
   // release batch delivers ONE wake flush.
-  core.release_batch({tickets[0].id, tickets[1].id}, 1.0);
+  release_all(core, {tickets[0].id, tickets[1].id}, 1.0);
   ASSERT_EQ(grants.size(), 2u);
   EXPECT_EQ(grants[0].thread, 3u);
   EXPECT_EQ(grants[1].thread, 4u);
@@ -294,8 +300,8 @@ TEST(AdmissionBatch, ReleaseBatchMatchesPerCallSequence) {
     serial_ids.push_back(serial.admit(request(t, mb(2)), 0.0).id);
   }
 
-  const std::vector<ReleaseTicket> tickets =
-      batched.release_batch(batched_ids, 1.0);
+  std::vector<ReleaseTicket> tickets(batched_ids.size());
+  batched.release_batch(batched_ids, 1.0, tickets);
   for (const PeriodId id : serial_ids) serial.release(id, {}, 1.0);
 
   ASSERT_EQ(tickets.size(), 5u);
@@ -327,7 +333,7 @@ TEST(AdmissionBatch, ReleaseBatchDischargesOversubRecords) {
   }
   EXPECT_GT(core.resources().oversubscribed(ResourceKind::kLLC), 0.0);
 
-  core.release_batch({holder.id, waiter.id}, 1.0);
+  release_all(core, {holder.id, waiter.id}, 1.0);
   EXPECT_EQ(core.resources().oversubscribed(ResourceKind::kLLC), 0.0);
   EXPECT_TRUE(core.resources().effectively_free(ResourceKind::kLLC));
   EXPECT_EQ(core.stats().ends, 2u);
@@ -350,7 +356,7 @@ TEST(AdmissionBatch, EndPeriodsUsesOneRescanForTheWholeBatch) {
   ASSERT_FALSE(big.admitted);
 
   // Releasing a alone cannot admit the 14 MB waiter; the batch of both must.
-  core.release_batch({a.id, b.id}, 1.0);
+  release_all(core, {a.id, b.id}, 1.0);
   ASSERT_EQ(woken.size(), 1u);
   EXPECT_EQ(woken[0], 3u);
   core.release(big.id, {}, 2.0);

@@ -569,13 +569,20 @@ TEST(AdmissionGate, FourBlockedWaitersShareOneSpinner) {
 // Four threads whose demands never fit two at a time take turns through
 // many parks, most settled in the spin: every period is admitted, the
 // block accounting holds, and the spins (never overlapping) add up to no
-// more than the wall time.
+// more than the wall time. The main thread holds a 10 MB period until a
+// worker has parked behind it, so at least one begin waits however the
+// threads interleave: the parked worker's begin ran its second look under
+// the slow mutex while the holder still held the budget, and the holder's
+// release, with a waiter listed, takes that mutex too.
 TEST(AdmissionGate, SpinChurnAdmitsEveryPeriod) {
   constexpr int kThreads = 4;
   constexpr int kPeriods = 200;
   AdmissionGate gate(strict_config());
   std::atomic<int> admitted{0};
   const auto start = std::chrono::steady_clock::now();
+  const auto holder = gate.begin(ResourceKind::kLLC,
+                                 static_cast<double>(MB(10)),
+                                 ReuseLevel::kHigh);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
@@ -591,6 +598,8 @@ TEST(AdmissionGate, SpinChurnAdmitsEveryPeriod) {
       }
     });
   }
+  while (gate.waiting() == 0) std::this_thread::yield();
+  gate.end(holder);
   for (std::thread& th : threads) th.join();
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

@@ -132,15 +132,17 @@ TEST(ServiceRace, ShardedDrainSurvivesNodeDeathMidRun) {
         for (const sim::ThreadId thread : batch) {
           requests.push_back(make_request(thread));
         }
-        const auto tickets = cores[static_cast<std::size_t>(s)]
-                                 ->admit_batch(std::move(requests), 0.0);
+        std::vector<core::AdmitTicket> tickets(requests.size());
+        cores[static_cast<std::size_t>(s)]->admit_batch(requests, 0.0,
+                                                        tickets);
         std::vector<core::PeriodId> ids;
         ids.reserve(tickets.size());
         for (const auto& ticket : tickets) {
           ASSERT_TRUE(ticket.admitted);
           ids.push_back(ticket.id);
         }
-        cores[static_cast<std::size_t>(s)]->release_batch(ids, 0.0);
+        std::vector<core::ReleaseTicket> released(ids.size());
+        cores[static_cast<std::size_t>(s)]->release_batch(ids, 0.0, released);
         remaining.fetch_sub(ids.size(), std::memory_order_acq_rel);
       }
     });
@@ -267,7 +269,8 @@ TEST(ServiceRace, DrainRejoinRacesConcurrentSubmissions) {
         r.demands = {{ResourceKind::kLLC, 1.0e-4 * kCapacity}};
         requests.push_back(std::move(r));
       }
-      const auto tickets = core.admit_batch(std::move(requests), 0.0);
+      std::vector<core::AdmitTicket> tickets(requests.size());
+      core.admit_batch(requests, 0.0, tickets);
       std::vector<core::PeriodId> ids;
       ids.reserve(tickets.size());
       for (const auto& ticket : tickets) {
@@ -276,7 +279,8 @@ TEST(ServiceRace, DrainRejoinRacesConcurrentSubmissions) {
         }
       }
       admitted += ids.size();
-      core.release_batch(ids, 0.0);
+      std::vector<core::ReleaseTicket> released(ids.size());
+      core.release_batch(ids, 0.0, released);
     }
     EXPECT_EQ(drained, kTotal);
     EXPECT_EQ(admitted, kTotal);
